@@ -24,6 +24,13 @@
 //! determinism guarantee the `replay --jobs N` CLI path and the CI parity
 //! gate assert for every bundled workload.
 //!
+//! The batched fan-out ([`run_sharded_batched`]) keeps its one partitioner
+//! thread cheap: it only routes, sending each worker lists of row
+//! references into the shared, already-decoded batches. Each worker copies
+//! its own rows — a broadcast control row is copied once by every worker —
+//! so the copying scales with the worker count instead of serializing on
+//! the partitioner.
+//!
 //! Memory note: the partition starts page-granular —
 //! `(addr >> PAGE_SHIFT) % jobs` with the page size matched to
 //! [`ShadowMemory`](crate::shadow::ShadowMemory)'s
@@ -269,8 +276,8 @@ fn choose_shift(jobs: u32, addrs: impl Iterator<Item = u32>) -> u32 {
 pub const SHARD_CHANNEL_DEPTH: usize = 16;
 
 /// Default flush threshold: a per-shard sub-batch is handed off once it has
-/// accumulated at least this many rows, so per-send channel cost amortizes
-/// over thousands of events.
+/// accumulated at least this many row references, so per-send channel cost
+/// amortizes over thousands of events.
 pub const SHARD_FLUSH_EVENTS: usize = 4096;
 
 /// Tunables for the batched fan-out's channel hand-off (the CLI exposes
@@ -278,10 +285,13 @@ pub const SHARD_FLUSH_EVENTS: usize = 4096;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardTuning {
     /// Bounded channel capacity, in sub-batches, per shard
-    /// ([`SHARD_CHANNEL_DEPTH`] by default). Peak buffered memory is
-    /// `jobs × channel_depth × flush_events` rows.
+    /// ([`SHARD_CHANNEL_DEPTH`] by default). A sub-batch is a list of row
+    /// references (4 bytes per row), so peak buffered memory is about
+    /// `jobs × (channel_depth + 2) × flush_events` references (queued,
+    /// being copied, or filling) plus one scratch [`EventBatch`] of copied
+    /// rows per worker.
     pub channel_depth: usize,
-    /// Minimum rows accumulated before a sub-batch is sent
+    /// Minimum row references accumulated before a sub-batch is sent
     /// ([`SHARD_FLUSH_EVENTS`] by default; the stream's tail flushes
     /// whatever remains).
     pub flush_events: usize,
@@ -411,7 +421,8 @@ fn partition_into(batch: &EventBatch, spec: ShardSpec, accs: &mut [EventBatch]) 
 /// pass: control rows are appended to every sub-batch, memory rows only to
 /// the shard owning their address ([`ShardSpec::shard_of`]). Concatenating
 /// sub-batch `k` across a batch stream therefore reproduces exactly the
-/// event sub-stream a [`ShardFilter`] for shard `k` would deliver.
+/// event sub-stream a [`ShardFilter`] for shard `k` would deliver — and the
+/// rows [`run_sharded_batched`] hands worker `k`.
 pub fn partition_batch(batch: &EventBatch, spec: ShardSpec) -> Vec<EventBatch> {
     let jobs = spec.jobs();
     // Size sub-batches from one cheap tag scan — every sub-batch carries
@@ -425,6 +436,52 @@ pub fn partition_batch(batch: &EventBatch, spec: ShardSpec) -> Vec<EventBatch> {
         .collect();
     partition_into(batch, spec, &mut subs);
     subs
+}
+
+/// One hand-off unit of the batched fan-out: references to the rows one
+/// shard consumes, in stream order, grouped into one run per input batch.
+/// The rows themselves stay in the caller's decoded batches; the worker
+/// copies them out with [`RowRefs::gather_into`].
+#[derive(Debug)]
+struct RowRefs {
+    /// `(input batch index, end offset into rows)` per contributing input
+    /// batch; a run starts where the previous one ends.
+    runs: Vec<(usize, usize)>,
+    /// Row indices within their run's input batch.
+    rows: Vec<u32>,
+}
+
+impl RowRefs {
+    fn with_capacity(rows: usize) -> Self {
+        RowRefs {
+            runs: Vec::new(),
+            rows: Vec::with_capacity(rows),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.rows.clear();
+    }
+
+    /// Ends the run of input batch `b`, if `b` contributed any rows.
+    fn close_run(&mut self, b: usize) {
+        let start = self.runs.last().map_or(0, |&(_, end)| end);
+        if self.rows.len() > start {
+            self.runs.push((b, self.rows.len()));
+        }
+    }
+
+    /// Replaces `out`'s rows with the referenced rows of `batches`, copied
+    /// column by column one run at a time.
+    fn gather_into(&self, batches: &[EventBatch], out: &mut EventBatch) {
+        out.clear();
+        let mut start = 0;
+        for &(b, end) in &self.runs {
+            out.extend_from_rows(&batches[b], &self.rows[start..end]);
+            start = end;
+        }
+    }
 }
 
 /// Runs one sink per address shard over `events` on scoped worker threads
@@ -492,24 +549,39 @@ where
 /// stream of [`EventBatch`]es.
 ///
 /// Unlike the per-event path — where every worker scans the *whole* stream
-/// behind a [`ShardFilter`] (O(jobs × N) filtering) — this splits each
-/// batch into per-shard sub-batches **once**, in a single pass, then lets
-/// every worker consume only its own sub-batches via bulk
+/// behind a [`ShardFilter`] (O(jobs × N) filtering) — this routes each
+/// batch's rows to their shards **once**, in a single pass, then lets
+/// every worker consume only its own rows via bulk
 /// [`TraceSink::on_batch`] calls. Each worker's sink observes exactly the
-/// sub-stream the filter would deliver, so analyses merge identically.
+/// sub-stream the filter would deliver (the rows [`partition_batch`]
+/// splits off for its shard), so analyses merge identically.
 ///
-/// Sub-batches accumulate sender-side until they hold at least
-/// [`SHARD_FLUSH_EVENTS`] rows, then stream to the workers through bounded
-/// channels whose consumed batches are pooled back to the sender — the
-/// hand-off costs one channel round-trip per *thousands* of events and
-/// steady-state partitioning allocates nothing. Peak in-flight memory is
-/// `jobs × SHARD_CHANNEL_DEPTH` sub-batches.
+/// The single partitioner thread only *routes*: for each row it appends a
+/// row reference (input batch, row index) to the owning shard's pending
+/// list — every shard's, for a control row — and never copies a column.
+/// A list is sent once it holds at least [`SHARD_FLUSH_EVENTS`] references,
+/// through a bounded channel whose drained lists are pooled back to the
+/// partitioner, so the hand-off costs one channel round-trip per
+/// *thousands* of rows and steady-state routing allocates nothing. Each
+/// worker copies its referenced rows out of the shared `batches`, column
+/// by column, into one reused [`EventBatch`] and hands that to its sink:
+/// the per-row copying, broadcast control rows included, runs on the
+/// workers in parallel instead of on the partitioner's critical path.
+/// At most about `jobs × (SHARD_CHANNEL_DEPTH + 2)` reference lists exist
+/// (queued, being copied, or filling), each of about
+/// [`SHARD_FLUSH_EVENTS`] 4-byte references, plus one scratch sub-batch
+/// of copied rows per worker.
 ///
 /// # Errors
 ///
 /// [`ShardError`] if any worker panicked. A dead worker's channel simply
 /// stops accepting sends — the sender keeps feeding the surviving shards,
 /// which drain and join cleanly before the error is returned.
+///
+/// # Panics
+///
+/// Panics if an input batch holds more than 2³² rows (row references are
+/// `u32` offsets).
 pub fn run_sharded_batched<S, F>(
     batches: &[EventBatch],
     jobs: usize,
@@ -523,17 +595,21 @@ where
 }
 
 /// [`run_sharded_batched`] with explicit hand-off tuning and optional
-/// self-instrumentation: when `metrics` is `Some`, the partition/send loop
+/// self-instrumentation: when `metrics` is `Some`, the routing/send loop
 /// runs under a `shard_partition` stage span, the sender's per-shard
-/// channel-send wait and the workers' recv-wait / busy time / delivered
-/// row counts are folded into per-shard [`ShardMetrics`] at join, and the
-/// batch/sub-batch counters are bumped. All timing is one clock pair per
-/// *sub-batch* (thousands of events), and with `None` this *is*
-/// [`run_sharded_batched`] — no clock reads at all.
+/// channel-send wait and the workers' recv-wait / busy time (row copy plus
+/// sink) / delivered row counts are folded into per-shard [`ShardMetrics`]
+/// at join, and the batch/sub-batch counters are bumped. All timing is one
+/// clock pair per *sub-batch* (thousands of events), and with `None` this
+/// *is* [`run_sharded_batched`] — no clock reads at all.
 ///
 /// # Errors
 ///
 /// [`ShardError`] if any worker panicked (see [`run_sharded_batched`]).
+///
+/// # Panics
+///
+/// See [`run_sharded_batched`].
 pub fn run_sharded_batched_with<S, F>(
     batches: &[EventBatch],
     jobs: usize,
@@ -557,6 +633,10 @@ where
 /// # Errors
 ///
 /// [`ShardError`] if any worker panicked (see [`run_sharded_batched`]).
+///
+/// # Panics
+///
+/// See [`run_sharded_batched`].
 pub fn run_sharded_batched_spec<S, F>(
     batches: &[EventBatch],
     spec: ShardSpec,
@@ -570,15 +650,20 @@ where
 {
     let jobs = spec.jobs() as usize;
     let tuning = tuning.normalized();
+    assert!(
+        batches.iter().all(|b| b.len() as u64 <= 1 << 32),
+        "an input batch exceeds 2^32 rows"
+    );
     std::thread::scope(|s| {
         let make_sink = &make_sink;
-        // Consumed sub-batches flow back to the sender through an unbounded
-        // return channel and get refilled in place: the steady state
-        // recycles `jobs × channel_depth + jobs` batches with no allocation.
-        let (pool_tx, pool_rx) = std::sync::mpsc::channel::<EventBatch>();
+        // Consumed reference lists flow back to the sender through an
+        // unbounded return channel and get refilled in place: the steady
+        // state recycles `jobs × channel_depth + jobs` lists with no
+        // allocation.
+        let (pool_tx, pool_rx) = std::sync::mpsc::channel::<RowRefs>();
         let (senders, handles): (Vec<_>, Vec<_>) = (0..jobs)
             .map(|k| {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<EventBatch>(tuning.channel_depth);
+                let (tx, rx) = std::sync::mpsc::sync_channel::<RowRefs>(tuning.channel_depth);
                 let pool_tx = pool_tx.clone();
                 let handle = s.spawn(move || {
                     // A panic anywhere below drops `rx`, which the sender
@@ -586,12 +671,14 @@ where
                     let mut done = 0u64;
                     let result = catch_unwind(AssertUnwindSafe(|| {
                         let mut sink = make_sink(k as u32);
+                        let mut scratch = EventBatch::new();
                         let Some(m) = metrics else {
-                            while let Ok(mut sub) = rx.recv() {
-                                done += sub.len() as u64;
-                                sink.on_batch(&sub);
-                                sub.clear();
-                                let _ = pool_tx.send(sub); // sender may have finished
+                            while let Ok(mut refs) = rx.recv() {
+                                refs.gather_into(batches, &mut scratch);
+                                done += scratch.len() as u64;
+                                sink.on_batch(&scratch);
+                                refs.clear();
+                                let _ = pool_tx.send(refs); // sender may have finished
                             }
                             return sink;
                         };
@@ -601,17 +688,18 @@ where
                         };
                         loop {
                             let t0 = Instant::now();
-                            let Ok(mut sub) = rx.recv() else { break };
-                            sm.recv_wait_ns += t0.elapsed().as_nanos() as u64;
-                            done += sub.len() as u64;
-                            sm.events += sub.len() as u64;
-                            sm.mem_events +=
-                                sub.tags().iter().filter(|t| t.is_memory()).count() as u64;
+                            let Ok(mut refs) = rx.recv() else { break };
                             let t1 = Instant::now();
-                            sink.on_batch(&sub);
+                            sm.recv_wait_ns += (t1 - t0).as_nanos() as u64;
+                            refs.gather_into(batches, &mut scratch);
+                            done += scratch.len() as u64;
+                            sm.events += scratch.len() as u64;
+                            sm.mem_events +=
+                                scratch.tags().iter().filter(|t| t.is_memory()).count() as u64;
+                            sink.on_batch(&scratch);
                             sm.busy_ns += t1.elapsed().as_nanos() as u64;
-                            sub.clear();
-                            let _ = pool_tx.send(sub);
+                            refs.clear();
+                            let _ = pool_tx.send(refs);
                         }
                         m.record_shard(sm);
                         sink
@@ -623,49 +711,59 @@ where
             .unzip();
         // Workers hold the remaining pool_tx clones.
         drop(pool_tx);
-        // One partitioning pass over the stream, instead of one filtered
-        // scan per worker; workers consume concurrently as batches fill.
+        // One routing pass over the stream, instead of one filtered scan
+        // per worker; workers copy and consume concurrently as lists fill.
         {
             let _partition_span = span_opt(metrics, Stage::ShardPartition);
-            let mut acc: Vec<EventBatch> = (0..jobs)
-                .map(|_| EventBatch::with_capacity(tuning.flush_events))
+            let mut pending: Vec<RowRefs> = (0..jobs)
+                .map(|_| RowRefs::with_capacity(tuning.flush_events))
                 .collect();
             let mut send_wait: Vec<u64> = vec![0; if metrics.is_some() { jobs } else { 0 }];
             // A send to a panicked worker fails with a disconnect (the
-            // worker dropped its receiver during unwind). The sub-batch is
+            // worker dropped its receiver during unwind). The list is
             // dropped and the shard marked dead — the panic itself is
             // reported at join, and the other shards keep streaming.
             let mut dead: Vec<bool> = vec![false; jobs];
             let mut sent = 0u64;
-            let timed_send =
-                |k: usize, sub: EventBatch, send_wait: &mut [u64], dead: &mut [bool]| {
-                    if dead[k] {
-                        return;
-                    }
-                    if metrics.is_some() {
-                        let t0 = Instant::now();
-                        dead[k] = senders[k].send(sub).is_err();
-                        send_wait[k] += t0.elapsed().as_nanos() as u64;
+            let timed_send = |k: usize, refs: RowRefs, send_wait: &mut [u64], dead: &mut [bool]| {
+                if dead[k] {
+                    return;
+                }
+                if metrics.is_some() {
+                    let t0 = Instant::now();
+                    dead[k] = senders[k].send(refs).is_err();
+                    send_wait[k] += t0.elapsed().as_nanos() as u64;
+                } else {
+                    dead[k] = senders[k].send(refs).is_err();
+                }
+            };
+            for (b, batch) in batches.iter().enumerate() {
+                for (i, tag) in batch.tags().iter().enumerate() {
+                    let row = i as u32; // bounded by the 2^32-row assertion above
+                    if tag.is_memory() {
+                        let k = spec.shard_of(batch.addr(i)) as usize;
+                        pending[k].rows.push(row);
                     } else {
-                        dead[k] = senders[k].send(sub).is_err();
+                        for refs in pending.iter_mut() {
+                            refs.rows.push(row);
+                        }
                     }
-                };
-            for batch in batches {
-                partition_into(batch, spec, &mut acc);
-                for (k, slot) in acc.iter_mut().enumerate() {
-                    if slot.len() < tuning.flush_events {
+                }
+                for (k, refs) in pending.iter_mut().enumerate() {
+                    refs.close_run(b);
+                    if refs.rows.len() < tuning.flush_events {
                         continue;
                     }
                     let fresh = pool_rx
                         .try_recv()
-                        .unwrap_or_else(|_| EventBatch::with_capacity(tuning.flush_events));
-                    let full = std::mem::replace(slot, fresh);
+                        .unwrap_or_else(|_| RowRefs::with_capacity(tuning.flush_events));
+                    let full = std::mem::replace(refs, fresh);
                     sent += 1;
                     timed_send(k, full, &mut send_wait, &mut dead);
                 }
             }
-            for (k, rest) in acc.into_iter().enumerate() {
-                if !rest.is_empty() {
+            for (k, rest) in pending.into_iter().enumerate() {
+                if !rest.rows.is_empty() {
                     sent += 1;
                     timed_send(k, rest, &mut send_wait, &mut dead);
                 }
@@ -1382,6 +1480,66 @@ mod tests {
             delivered / sent >= min_avg.max(64),
             "sent={sent} delivered={delivered}"
         );
+    }
+
+    #[test]
+    fn fanout_hands_each_shard_exactly_its_partition_batch_rows() {
+        // Row-exact delivery through the reference hand-off: shard k's sink
+        // must see the concatenation of `partition_batch(b, spec)[k]` over
+        // the input batches — no row dropped, duplicated or reordered, even
+        // where the merged profile would not notice.
+        let (_m, events, _) = record(
+            "int a[64]; int sum;
+            int main() {
+                int r; int i;
+                for (r = 0; r < 12; r++)
+                    for (i = 0; i < 64; i++) { a[i] = a[(i + r) % 64] + i; sum += a[i]; }
+                return sum;
+            }",
+        );
+        assert!(
+            events.len() > 2 * SHARD_FLUSH_EVENTS,
+            "{} events",
+            events.len()
+        );
+        let tunings = [
+            ShardTuning::default(),
+            ShardTuning {
+                channel_depth: 1,
+                flush_events: 1,
+            },
+        ];
+        // Input batches smaller than the default flush threshold (many runs
+        // per send) and larger than it (one run spanning a whole send).
+        for batch_size in [16usize, SHARD_FLUSH_EVENTS + 1000] {
+            let batches = to_batches(&events, batch_size);
+            for tuning in tunings {
+                for spec in [1, 3].into_iter().flat_map(specs) {
+                    let sinks = run_sharded_batched_spec(&batches, spec, tuning, None, |_| {
+                        RecordingSink::default()
+                    })
+                    .unwrap();
+                    assert_eq!(sinks.len(), spec.jobs() as usize);
+                    for (k, sink) in sinks.iter().enumerate() {
+                        let expect: Vec<Event> = batches
+                            .iter()
+                            .flat_map(|b| {
+                                partition_batch(b, spec)
+                                    .swap_remove(k)
+                                    .iter()
+                                    .collect::<Vec<_>>()
+                            })
+                            .collect();
+                        assert!(
+                            sink.events == expect,
+                            "batch_size={batch_size} {tuning:?} jobs={} shift={} shard={k}",
+                            spec.jobs(),
+                            spec.shift()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -262,7 +262,9 @@ pub struct ShardMetrics {
     pub send_wait_ns: u64,
     /// Nanoseconds this shard's worker spent blocked waiting to receive.
     pub recv_wait_ns: u64,
-    /// Nanoseconds this shard's worker spent actually processing batches.
+    /// Nanoseconds this shard's worker spent actually processing batches:
+    /// copying its routed rows out of the shared input batches, then
+    /// running its sink on them.
     pub busy_ns: u64,
     /// Shadow-memory pages faulted in by this shard's profiler.
     pub pages_allocated: u64,

@@ -208,7 +208,8 @@ impl EventBatch {
     }
 
     /// Copies row `i` of `src` into this batch (a column-wise copy; no
-    /// [`Event`] value is materialized). The shard partitioner's hot loop.
+    /// [`Event`] value is materialized). Used where rows are selected one
+    /// at a time, like a shard filter's bulk path.
     #[inline]
     pub fn push_index(&mut self, src: &EventBatch, i: usize) {
         self.push_row(
@@ -219,6 +220,32 @@ impl EventBatch {
             src.auxs[i],
             Tid(src.tids[i]),
         );
+    }
+
+    /// Appends rows `rows` of `src`, in the order given, one column at a
+    /// time (no [`Event`] value is materialized). A shard worker copies
+    /// the rows routed to it out of the shared input batches this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before appending anything, if an index is `>= src.len()`.
+    pub fn extend_from_rows(&mut self, src: &EventBatch, rows: &[u32]) {
+        fn gather<T: Copy>(dst: &mut Vec<T>, col: &[T], rows: &[u32]) {
+            dst.extend(rows.iter().map(|&i| col[i as usize]));
+        }
+        // Checked up front so a bad index cannot leave the columns at
+        // different lengths.
+        let n = src.len();
+        assert!(
+            rows.iter().all(|&i| (i as usize) < n),
+            "row index out of range for a {n}-row batch"
+        );
+        gather(&mut self.tags, &src.tags, rows);
+        gather(&mut self.times, &src.times, rows);
+        gather(&mut self.addrs, &src.addrs, rows);
+        gather(&mut self.pcs, &src.pcs, rows);
+        gather(&mut self.auxs, &src.auxs, rows);
+        gather(&mut self.tids, &src.tids, rows);
     }
 
     /// Row `i`'s tag.
@@ -536,6 +563,28 @@ mod tests {
         let mut expect: Vec<Event> = src.iter().collect();
         expect.reverse();
         assert_eq!(reversed, expect);
+    }
+
+    #[test]
+    fn extend_from_rows_gathers_rows_in_the_given_order() {
+        let src = EventBatch::from_events(&sample_events());
+        let rows = [6u32, 0, 3, 3, 4];
+        let mut dst = EventBatch::from_events(&sample_events()[..1]);
+        dst.extend_from_rows(&src, &rows);
+        let mut expect = vec![src.get(0)];
+        expect.extend(rows.iter().map(|&i| src.get(i as usize)));
+        assert_eq!(dst.iter().collect::<Vec<Event>>(), expect);
+    }
+
+    #[test]
+    fn extend_from_rows_rejects_a_bad_index_without_appending() {
+        let src = EventBatch::from_events(&sample_events());
+        let mut dst = EventBatch::new();
+        let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dst.extend_from_rows(&src, &[1, 7]);
+        }));
+        assert!(bad.is_err());
+        assert_eq!(dst, EventBatch::new(), "no column was extended");
     }
 
     #[test]
