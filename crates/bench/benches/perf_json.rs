@@ -17,7 +17,8 @@
 //! * `replay_profile_batched` — sequential batched replay of a recorded
 //!   trace into the profiler;
 //! * `replay_profile_batched_par4` — the full `replay --jobs 4` pipeline
-//!   (chunk-parallel decode + address-sharded batched profiling).
+//!   (`replay_pipelined`: three decode workers feeding one profiler in
+//!   trace order).
 //!
 //! The two replay paths are then re-measured at `Scale::Huge` (the
 //! tens-of-millions-of-events regime where per-event costs dominate
@@ -26,8 +27,9 @@
 //! suite. On a machine with 2+ CPUs the harness **asserts** that par4
 //! ns/event does not exceed sequential ns/event on ogg and bzip2 at the
 //! scaled size; on a single-CPU machine the parallel pipeline cannot win
-//! wall-clock by construction (every worker re-walks the control stream),
-//! so the numbers are recorded but the gate is skipped.
+//! wall-clock by construction (the decode workers and the profiler
+//! time-slice one core), so the numbers are recorded but the gate is
+//! skipped.
 //!
 //! Every sample is a full pass over the workload's event stream; the
 //! reported figure is the **best** of `--iters N` passes (default 5,
@@ -41,9 +43,9 @@
 //! can be diffed across commits without scraping bench logs. `cpus`
 //! records the parallelism the numbers were taken under.
 
-use alchemist_core::{profile_batches_par, AlchemistProfiler, ProfileConfig};
+use alchemist_core::{AlchemistProfiler, ProfileConfig};
 use alchemist_obs::{Counter, Metrics};
-use alchemist_trace::{decode_batches_par, TraceReader, TraceWriter};
+use alchemist_trace::{replay_pipelined, ReplayOptions, TraceReader, TraceWriter};
 use alchemist_vm::DEFAULT_BATCH_EVENTS;
 use alchemist_workloads::Scale;
 use std::io::Write as _;
@@ -93,7 +95,7 @@ fn record(w: &alchemist_workloads::Workload, scale: Scale) -> (Vec<u8>, u64, u64
     (bytes, stats.events, outcome.steps)
 }
 
-/// Measures the two replay paths (sequential batched, sharded `--jobs 4`)
+/// Measures the two replay paths (sequential batched, pipelined `--jobs 4`)
 /// over `bytes`; pushes one row each and returns their `(seq, par)`
 /// ns/event for the scaled-size gate.
 fn measure_replay(
@@ -123,16 +125,13 @@ fn measure_replay(
 
     let par_ns = best_of(iters, || {
         let reader = TraceReader::new(bytes).expect("header");
-        let (batches, summary) = decode_batches_par(reader, 4).expect("decode");
-        let (profile, _, _) = profile_batches_par(
-            &module,
-            &batches,
-            summary.total_steps,
-            ProfileConfig::default(),
-            4,
-        )
-        .expect("no shard panic");
-        let _ = std::hint::black_box(profile);
+        let mut prof = AlchemistProfiler::new(&module, ProfileConfig::default());
+        let options = ReplayOptions {
+            jobs: 4,
+            ..ReplayOptions::default()
+        };
+        let summary = replay_pipelined(reader, &mut prof, options).expect("replay");
+        let _ = std::hint::black_box(prof.into_profile(summary.total_steps));
     });
     rows.push(Row {
         workload: w.name,

@@ -131,10 +131,6 @@ pub struct ProfileReport {
     /// Dependences whose head and tail ran on different program threads
     /// (zero for single-threaded programs).
     pub cross_thread_deps: u64,
-    /// Memory events per address shard when the profile came from a
-    /// sharded replay (empty for sequential/live runs). Drives the render
-    /// imbalance note.
-    pub shard_events: Vec<u64>,
     /// Caller-supplied caveats rendered as trailing `note:` lines — e.g.
     /// the CLI's salvage note when a profile came from a `--recover`
     /// replay that dropped corrupt chunks.
@@ -202,7 +198,6 @@ impl ProfileReport {
             shadow_stats: profile.shadow_stats,
             intra_thread_deps: profile.intra_thread_deps,
             cross_thread_deps: profile.cross_thread_deps,
-            shard_events: Vec::new(),
             notes: Vec::new(),
         }
     }
@@ -214,26 +209,6 @@ impl ProfileReport {
     pub fn with_note(mut self, note: impl Into<String>) -> Self {
         self.notes.push(note.into());
         self
-    }
-
-    /// Attaches per-shard memory-event counts from a sharded replay, so
-    /// [`render`](ProfileReport::render) can flag a lopsided `addr % jobs`
-    /// partition.
-    pub fn with_shard_events(mut self, shard_events: Vec<u64>) -> Self {
-        self.shard_events = shard_events;
-        self
-    }
-
-    /// `max/min` of the per-shard memory-event counts, with the min clamped
-    /// to 1 so an empty shard yields a large-but-finite ratio. `None` when
-    /// the profile did not come from a sharded replay (fewer than 2 shards).
-    pub fn shard_imbalance(&self) -> Option<f64> {
-        if self.shard_events.len() < 2 {
-            return None;
-        }
-        let max = *self.shard_events.iter().max().unwrap();
-        let min = *self.shard_events.iter().min().unwrap();
-        Some(max as f64 / min.max(1) as f64)
     }
 
     /// Constructs ranked by total instructions, largest first.
@@ -285,7 +260,6 @@ impl ProfileReport {
             shadow_stats: self.shadow_stats,
             intra_thread_deps: self.intra_thread_deps,
             cross_thread_deps: self.cross_thread_deps,
-            shard_events: self.shard_events.clone(),
             notes: self.notes.clone(),
         };
         let denom = total_violating_raw.max(1) as f64;
@@ -367,11 +341,6 @@ impl ProfileReport {
                  the allocation-free inline path",
                 self.shadow_stats.read_set_spills
             );
-        }
-        if let Some(ratio) = self.shard_imbalance() {
-            if ratio > 2.0 {
-                let _ = writeln!(out, "note: shard imbalance max/min = {ratio:.1}");
-            }
         }
         for note in &self.notes {
             let _ = writeln!(out, "note: {note}");
@@ -519,35 +488,6 @@ mod tests {
         let clean = report_for(src);
         assert_eq!(clean.dropped_readers, 0);
         assert!(!clean.render(10).contains("dropped"));
-    }
-
-    #[test]
-    fn render_notes_shard_imbalance_only_past_2x() {
-        let r = report_for(GZIP_MINI);
-        assert_eq!(r.shard_imbalance(), None, "sequential profile: no note");
-        assert!(!r.render(5).contains("shard imbalance"));
-
-        let balanced = r.clone().with_shard_events(vec![100, 120, 90]);
-        assert!(!balanced.render(5).contains("shard imbalance"));
-
-        let lopsided = r.clone().with_shard_events(vec![300, 100, 90]);
-        assert!(
-            lopsided
-                .render(5)
-                .contains("note: shard imbalance max/min = 3.3"),
-            "{}",
-            lopsided.render(5)
-        );
-
-        // An empty shard stays finite (min clamps to 1)...
-        let empty_shard = r.clone().with_shard_events(vec![40, 0]);
-        assert_eq!(empty_shard.shard_imbalance(), Some(40.0));
-        // ...and the note survives refinement.
-        let main_head = lopsided.find("Method main").unwrap().head;
-        assert!(lopsided
-            .remove_with_nested(main_head)
-            .render(5)
-            .contains("shard imbalance"));
     }
 
     #[test]

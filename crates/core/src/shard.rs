@@ -21,8 +21,11 @@
 //!   merge commutative.
 //!
 //! The result is **equal** (`==`) to the sequential and live profiles: the
-//! determinism guarantee the `replay --jobs N` CLI path and the CI parity
-//! gate assert for every bundled workload.
+//! determinism guarantee the parity tests assert for every bundled
+//! workload. (The CLI's `replay --jobs N` no longer shards: it pipelines
+//! decode against one profiler, `alchemist_trace::replay_pipelined`, which
+//! measured faster on every workload. This module stays for the library
+//! API and the benchmark's traced spans.)
 //!
 //! The batched fan-out ([`run_sharded_batched`]) keeps its one partitioner
 //! thread cheap: it only routes, sending each worker lists of row
@@ -144,8 +147,7 @@ fn join_shards<S>(
 pub const CANDIDATE_SHIFTS: [u32; 5] = [PAGE_SHIFT, 9, 6, 3, 0];
 
 /// A candidate stride is accepted when `max <= MAX_SHARD_IMBALANCE * min`
-/// over its per-shard memory-event counts — the same `>2x` threshold the
-/// report's `shard imbalance` note uses.
+/// over its per-shard memory-event counts.
 pub const MAX_SHARD_IMBALANCE: u64 = 2;
 
 /// The chooser samples at most ~this many rows (deterministic stride over
@@ -280,8 +282,7 @@ pub const SHARD_CHANNEL_DEPTH: usize = 16;
 /// amortizes over thousands of events.
 pub const SHARD_FLUSH_EVENTS: usize = 4096;
 
-/// Tunables for the batched fan-out's channel hand-off (the CLI exposes
-/// them as `replay --shard-depth` / `--shard-flush`).
+/// Tunables for the batched fan-out's channel hand-off.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardTuning {
     /// Bounded channel capacity, in sub-batches, per shard
@@ -787,8 +788,8 @@ where
 
 /// Memory events per shard under the partition [`ShardSpec::for_events`]
 /// would choose for a `jobs`-way split (control events are broadcast and
-/// not counted). Used by benches and `replay --jobs` to show how balanced
-/// the address partition is.
+/// not counted). Used by benches to show how balanced the address
+/// partition is.
 pub fn shard_event_counts(events: &[Event], jobs: usize) -> Vec<u64> {
     let jobs = jobs.clamp(1, u32::MAX as usize);
     shard_event_counts_spec(events, ShardSpec::for_events(events, jobs as u32))
@@ -1026,8 +1027,8 @@ pub fn profile_batches_par_with(
 }
 
 /// [`profile_batches_par_with`] with an explicit partition and hand-off
-/// tuning — the CLI computes the [`ShardSpec`] once (to display it) and
-/// passes its `--shard-depth` / `--shard-flush` values through here.
+/// tuning, for callers that compute the [`ShardSpec`] once and reuse it
+/// (e.g. to report the per-shard counts next to the profile).
 ///
 /// # Errors
 ///

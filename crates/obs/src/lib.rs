@@ -146,13 +146,16 @@ pub enum Stage {
     Exec,
     /// Trace chunk encoding + writing.
     Encode,
-    /// Trace decoding (streaming or chunk-parallel).
+    /// Trace decoding (streaming or chunk-parallel). In a pipelined
+    /// replay: each decoding thread's busy time, one call per thread.
     Decode,
     /// Splitting batches into per-shard sub-batches.
     ShardPartition,
     /// Merging per-shard profiles/traces back together.
     Merge,
-    /// Dependence profiling proper.
+    /// Dependence profiling proper. In a pipelined replay: the calling
+    /// thread's time inside the sink (the profiler and any analysis
+    /// sharing the pass), one call.
     Profile,
     /// Parallel-task extraction (parsim).
     Extract,

@@ -441,6 +441,7 @@ pub fn extract_tasks_from_batches_par(
 /// task count. The internal shard fan-out is *not* instrumented — per-shard
 /// metrics rows stay reserved for the dependence-profiling shards, so a
 /// combined `replay` invocation reports one coherent shard table.
+/// `jobs <= 1` is [`extract_tasks_from_batches`].
 ///
 /// # Errors
 ///
@@ -453,23 +454,47 @@ pub fn extract_tasks_from_batches_par_with(
     jobs: usize,
     metrics: Option<&Metrics>,
 ) -> Result<TaskTrace, ShardError> {
+    if jobs <= 1 {
+        return Ok(extract_tasks_from_batches(
+            module,
+            config,
+            batches,
+            total_steps,
+            metrics,
+        ));
+    }
     let _extract_span = span_opt(metrics, Stage::Extract);
-    let trace = if jobs <= 1 {
-        let mut extractor = TaskExtractor::new(module, config);
-        for batch in batches {
-            extractor.on_batch(batch);
-        }
-        extractor.into_trace(total_steps)
-    } else {
-        let extractors = run_sharded_batched(batches, jobs, |_| {
-            TaskExtractor::new(module, config.clone())
-        })?;
-        merge_shard_traces(extractors, total_steps)
-    };
+    let extractors = run_sharded_batched(batches, jobs, |_| {
+        TaskExtractor::new(module, config.clone())
+    })?;
+    let trace = merge_shard_traces(extractors, total_steps);
     if let Some(m) = metrics {
         m.add(Counter::ParsimTasksExtracted, trace.tasks.len() as u64);
     }
     Ok(trace)
+}
+
+/// Batched twin of [`extract_tasks_from_events`]: one [`TaskExtractor`]
+/// on the calling thread, one `on_batch` call per batch. When `metrics` is
+/// `Some`, the extraction runs under an `extract` stage span and the
+/// `parsim.tasks_extracted` counter is bumped with the trace's task count.
+pub fn extract_tasks_from_batches(
+    module: &Module,
+    config: ExtractConfig,
+    batches: &[EventBatch],
+    total_steps: u64,
+    metrics: Option<&Metrics>,
+) -> TaskTrace {
+    let _extract_span = span_opt(metrics, Stage::Extract);
+    let mut extractor = TaskExtractor::new(module, config);
+    for batch in batches {
+        extractor.on_batch(batch);
+    }
+    let trace = extractor.into_trace(total_steps);
+    if let Some(m) = metrics {
+        m.add(Counter::ParsimTasksExtracted, trace.tasks.len() as u64);
+    }
+    trace
 }
 
 /// Merges per-shard extractor results: shard 0's control-derived task list

@@ -4,6 +4,7 @@
 //! callers (and tests) can distinguish "not a trace at all" from "a trace
 //! that was cut short". Decoding never panics on hostile bytes.
 
+use std::any::Any;
 use std::error::Error;
 use std::fmt;
 use std::io;
@@ -50,6 +51,48 @@ pub enum TraceError {
         /// Index of the offending chunk (0-based, footer counts as one).
         chunk_index: u64,
     },
+    /// A worker thread panicked while reading or decoding a chunk: a defect
+    /// in the decoder (or in a caller-supplied decode step), not in the
+    /// trace. The panic is caught on the worker, so the replay fails with
+    /// this error instead of aborting the process or hanging its peers.
+    WorkerPanicked(Box<WorkerPanic>),
+}
+
+/// What [`TraceError::WorkerPanicked`] carries. It is boxed so that the
+/// error, part of every decoded event's `Result`, stays two words wide.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WorkerPanic {
+    /// Index of the event-bearing chunk the worker was handling.
+    pub chunk_index: u64,
+    /// The panic payload, stringified (`&str` / `String` payloads
+    /// verbatim, anything else as `<non-string panic payload>`).
+    pub payload: String,
+}
+
+impl TraceError {
+    /// Wraps a payload caught by `catch_unwind` on a worker handling chunk
+    /// `chunk_index`.
+    pub(crate) fn worker_panicked(chunk_index: u64, payload: Box<dyn Any + Send>) -> Self {
+        let payload = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "<non-string panic payload>".to_string()
+        };
+        TraceError::WorkerPanicked(Box::new(WorkerPanic {
+            chunk_index,
+            payload,
+        }))
+    }
+
+    /// A worker that stopped without reporting chunk `chunk_index`.
+    pub(crate) fn worker_lost(chunk_index: u64, why: &str) -> Self {
+        TraceError::WorkerPanicked(Box::new(WorkerPanic {
+            chunk_index,
+            payload: why.to_string(),
+        }))
+    }
 }
 
 impl fmt::Display for TraceError {
@@ -89,6 +132,13 @@ impl fmt::Display for TraceError {
                     f,
                     "corrupt trace: chunk {chunk_index} CRC mismatch \
                      (stored {expected:08x}, computed {actual:08x})"
+                )
+            }
+            TraceError::WorkerPanicked(p) => {
+                write!(
+                    f,
+                    "internal error: decode worker panicked on chunk {}: {}",
+                    p.chunk_index, p.payload
                 )
             }
         }
@@ -143,6 +193,16 @@ mod tests {
         assert!(c.contains("deadbeef"));
         assert!(c.contains("0badf00d"));
         assert!(c.contains("chunk 3"));
+        let p = TraceError::worker_panicked(5, Box::new("boom")).to_string();
+        assert!(p.contains("panicked on chunk 5: boom"), "{p}");
+        let p = TraceError::worker_panicked(6, Box::new(7u8)).to_string();
+        assert!(p.contains("<non-string panic payload>"), "{p}");
+    }
+
+    #[test]
+    fn the_error_stays_small() {
+        // Every decoded event travels in a `Result<_, TraceError>`.
+        assert!(std::mem::size_of::<TraceError>() <= 24);
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! counts and time ranges, see [`format`](mod@format)), so replay can skip or window
 //! by time without decoding what it does not need, and delta/varint
 //! encoded, averaging a few bytes per event. Chunks decode independently
-//! of each other, so a trace can also be decoded chunk-parallel across
-//! worker threads ([`decode_events_par`]). Traces can embed the mini-C
-//! source of the recorded program, making the artifact self-contained.
+//! of each other, so [`replay_pipelined`] can decode them on worker threads
+//! while the calling thread feeds the sink in trace order, within a fixed
+//! window of batches; [`decode_batches_par`] decodes a whole trace into
+//! memory chunk-parallel for analyses that need the stream twice. Traces
+//! can embed the mini-C source of the recorded program, making the
+//! artifact self-contained.
 //!
 //! ## Record, then replay
 //!
@@ -74,6 +77,7 @@ pub mod atomic;
 pub mod error;
 pub mod format;
 pub mod par;
+pub mod pipeline;
 pub mod reader;
 pub mod tee;
 pub mod varint;
@@ -81,11 +85,12 @@ pub mod writer;
 
 pub use alcp::{AlcpError, ProfileArtifact, ALCP_MAGIC, ALCP_VERSION};
 pub use atomic::{write_atomic, AtomicFile};
-pub use error::TraceError;
+pub use error::{TraceError, WorkerPanic};
 pub use par::{
     decode_batches_par, decode_batches_par_recover, decode_batches_par_with, decode_chunk,
     decode_chunk_into, decode_events_par,
 };
+pub use pipeline::{replay_pipelined, ReplayOptions, REPLAY_WINDOW};
 pub use reader::{ChunkInfo, RawChunk, RecoveryReport, ReplaySummary, TraceReader};
 pub use tee::{MultiSink, Tee};
 pub use writer::{TraceStats, TraceWriter, DEFAULT_CHECKPOINT_CHUNKS, DEFAULT_CHUNK_EVENTS};

@@ -19,6 +19,7 @@ use crate::reader::{RawChunk, RecoveryReport, ReplaySummary, TraceReader};
 use alchemist_obs::{span_opt, Counter, Hist, Metrics, Stage};
 use alchemist_vm::{Event, EventBatch, Tid};
 use std::io::Read;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -85,6 +86,10 @@ pub fn decode_chunk_into(chunk: &RawChunk, batch: &mut EventBatch) -> Result<(),
 /// Runs `decode` over every chunk on `jobs` worker threads (work-stealing
 /// over an atomic cursor) and returns the per-chunk results in trace
 /// order. `jobs <= 1` decodes inline.
+///
+/// Every call of `decode` runs under [`catch_unwind`]: on any job count a
+/// panic becomes that chunk's [`TraceError::WorkerPanicked`] result, so
+/// the caller reports it in trace order like any other decode error.
 fn decode_chunks_ordered<T, F>(
     chunks: &[RawChunk],
     jobs: usize,
@@ -94,12 +99,21 @@ where
     T: Send,
     F: Fn(&RawChunk) -> Result<T, TraceError> + Sync,
 {
+    let decode_one = |i: usize, chunk: &RawChunk| {
+        catch_unwind(AssertUnwindSafe(|| decode(chunk)))
+            .unwrap_or_else(|payload| Err(TraceError::worker_panicked(i as u64, payload)))
+    };
     if jobs <= 1 {
-        return chunks.iter().map(decode).collect();
+        return chunks
+            .iter()
+            .enumerate()
+            .map(|(i, chunk)| decode_one(i, chunk))
+            .collect();
     }
     let cursor = AtomicUsize::new(0);
-    let (cursor, decode) = (&cursor, &decode);
-    let mut slots: Vec<(usize, Result<T, TraceError>)> = std::thread::scope(|s| {
+    let (cursor, decode_one) = (&cursor, &decode_one);
+    let mut slots: Vec<Option<Result<T, TraceError>>> = chunks.iter().map(|_| None).collect();
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..jobs)
             .map(|_| {
                 s.spawn(move || {
@@ -109,18 +123,31 @@ where
                         let Some(chunk) = chunks.get(i) else {
                             return done;
                         };
-                        done.push((i, decode(chunk)));
+                        done.push((i, decode_one(i, chunk)));
                     }
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("decode worker panicked"))
-            .collect()
+        for handle in handles {
+            // The decode itself cannot unwind past `decode_one`; a worker
+            // lost anyway leaves its chunks as `None`, reported below.
+            for (i, result) in handle.join().unwrap_or_default() {
+                slots[i] = Some(result);
+            }
+        }
     });
-    slots.sort_unstable_by_key(|(i, _)| *i);
-    slots.into_iter().map(|(_, r)| r).collect()
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| {
+            slot.unwrap_or_else(|| {
+                Err(TraceError::worker_lost(
+                    i as u64,
+                    "decode worker exited before decoding this chunk",
+                ))
+            })
+        })
+        .collect()
 }
 
 /// Decodes a whole trace into an event vector using `jobs` worker threads.
@@ -299,13 +326,15 @@ pub fn decode_batches_par_recover<R: Read>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::writer::TraceWriter;
     use alchemist_lang::hir::FuncId;
     use alchemist_vm::{Pc, RecordingSink, TraceSink};
 
-    fn sample_trace(chunk_capacity: usize, rounds: u32) -> (Vec<u8>, RecordingSink) {
+    /// A trace of `rounds` enter/read/write/exit groups in chunks of
+    /// `chunk_capacity` events, with the live stream it must replay to.
+    pub(crate) fn sample_trace(chunk_capacity: usize, rounds: u32) -> (Vec<u8>, RecordingSink) {
         sample_trace_with(
             TraceWriter::new(Vec::new(), Some("int main() { return 0; }")).unwrap(),
             chunk_capacity,
@@ -314,7 +343,8 @@ mod tests {
         )
     }
 
-    fn sample_trace_with(
+    /// [`sample_trace`] through writer `w`, with thread ids from `tid_of`.
+    pub(crate) fn sample_trace_with(
         w: TraceWriter<Vec<u8>>,
         chunk_capacity: usize,
         rounds: u32,
@@ -417,6 +447,32 @@ mod tests {
                 (Ok(e), Ok(b)) => assert_eq!(e, b, "flip at {pos}"),
                 (Err(_), Err(_)) => {}
                 (e, b) => panic!("flip at {pos}: decoders disagree: {e:?} vs {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_decode_is_that_chunks_typed_error_on_any_job_count() {
+        let (bytes, _) = sample_trace(7, 40);
+        let (chunks, _) = TraceReader::new(bytes.as_slice())
+            .unwrap()
+            .read_raw_chunks()
+            .unwrap();
+        let bad = chunks[3].t_first;
+        for jobs in [1usize, 2, 4] {
+            let results = decode_chunks_ordered(&chunks, jobs, |chunk| {
+                assert_ne!(chunk.t_first, bad, "decoder bug");
+                decode_chunk(chunk)
+            });
+            assert_eq!(results.len(), chunks.len(), "jobs={jobs}");
+            for (i, result) in results.iter().enumerate() {
+                match result {
+                    Err(TraceError::WorkerPanicked(p)) => {
+                        assert_eq!((i, p.chunk_index), (3, 3), "jobs={jobs}");
+                        assert!(p.payload.contains("decoder bug"), "{p:?}");
+                    }
+                    other => assert!(other.is_ok(), "jobs={jobs} chunk {i}: {other:?}"),
+                }
             }
         }
     }

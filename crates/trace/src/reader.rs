@@ -523,9 +523,9 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
-    /// Reads every event-bearing chunk *without decoding the payloads*,
-    /// returning them alongside the footer's step count. Consumes the
-    /// reader's stream.
+    /// Reads the next event-bearing chunk *without decoding its payload*.
+    /// Returns `None` once the footer has been read; the step count is then
+    /// available from [`TraceReader::total_steps`].
     ///
     /// This is the fan-out point for parallel replay: the sequential part
     /// (I/O plus header parsing) is a fraction of the decode cost, and the
@@ -533,26 +533,45 @@ impl<R: Read> TraceReader<R> {
     ///
     /// # Errors
     ///
+    /// Structural errors only; payload corruption surfaces later, when the
+    /// chunk is decoded.
+    pub fn next_raw_chunk(&mut self) -> Result<Option<RawChunk>, TraceError> {
+        if self.finished {
+            return Ok(None);
+        }
+        let Some(head) = self.read_chunk_header()? else {
+            return Err(TraceError::Truncated("missing footer"));
+        };
+        if head.events == 0 {
+            self.read_footer(&head)?;
+            return Ok(None);
+        }
+        self.read_payload(&head)?;
+        Ok(Some(RawChunk {
+            events: head.events,
+            t_first: head.t_first,
+            version: self.version,
+            payload: std::mem::take(&mut self.chunk),
+        }))
+    }
+
+    /// Reads every remaining event-bearing chunk with
+    /// [`TraceReader::next_raw_chunk`], returning them alongside the
+    /// footer's step count. Consumes the reader's stream.
+    ///
+    /// # Errors
+    ///
     /// Structural errors only; payload corruption surfaces later, when a
     /// chunk is decoded.
     pub fn read_raw_chunks(&mut self) -> Result<(Vec<RawChunk>, u64), TraceError> {
         let mut chunks = Vec::new();
-        loop {
-            let Some(head) = self.read_chunk_header()? else {
-                return Err(TraceError::Truncated("missing footer"));
-            };
-            if head.events == 0 {
-                let total_steps = self.read_footer(&head)?;
-                return Ok((chunks, total_steps));
-            }
-            self.read_payload(&head)?;
-            chunks.push(RawChunk {
-                events: head.events,
-                t_first: head.t_first,
-                version: self.version,
-                payload: std::mem::take(&mut self.chunk),
-            });
+        while let Some(chunk) = self.next_raw_chunk()? {
+            chunks.push(chunk);
         }
+        let total_steps = self
+            .total_steps
+            .ok_or(TraceError::Truncated("missing footer"))?;
+        Ok((chunks, total_steps))
     }
 
     /// Reads chunk metadata for the whole trace without decoding any

@@ -13,8 +13,9 @@
 //! The original tool instruments native binaries through Valgrind; this
 //! reproduction ships its own execution substrate (a mini-C frontend and a
 //! tracing bytecode VM) so the entire pipeline is self-contained and
-//! deterministic. See `DESIGN.md` for the substitution map and
-//! `EXPERIMENTS.md` for paper-vs-measured results.
+//! deterministic. The repository's `README.md` describes each crate's role
+//! and the measured performance; the `alchemist-bench` crate's benches
+//! regenerate the paper's tables and figures.
 //!
 //! ## Crates
 //!
@@ -26,6 +27,7 @@
 //! | [`core`](mod@core) | execution indexing + dependence profiling (the paper) |
 //! | [`parsim`] | profile-guided parallel-schedule simulation (Table V) |
 //! | [`trace`] | binary record/replay traces with offline analyses |
+//! | [`obs`] | metrics: counters, stage spans, histograms (`--metrics`) |
 //! | [`workloads`] | the paper's eight benchmarks, re-implemented |
 //!
 //! ## Quick start
@@ -47,6 +49,7 @@
 pub use alchemist_cfg as cfg;
 pub use alchemist_core as core;
 pub use alchemist_lang as lang;
+pub use alchemist_obs as obs;
 pub use alchemist_parsim as parsim;
 pub use alchemist_trace as trace;
 pub use alchemist_vm as vm;

@@ -11,39 +11,55 @@
 
 use alchemist_core::shadow::{Access, ShadowMemory};
 use alchemist_core::{
-    profile_batches_par_spec, profile_batches_par_with, profile_module, profile_source,
-    shard_batch_counts_spec, AlchemistProfiler, DepProfile, PartialProfile, ProfileConfig,
-    ProfileReport, ShardError, ShardSpec, ShardTuning,
+    profile_batches, profile_module, profile_source, AlchemistProfiler, DepProfile, PartialProfile,
+    ProfileConfig, ProfileReport,
 };
 use alchemist_obs::{span_opt, Counter, Metrics, Stage};
 use alchemist_parsim::{
-    extract_tasks, extract_tasks_from_batches_par_with, render_timeline, simulate,
-    suggest_candidates, ExtractConfig, SimConfig,
+    extract_tasks, extract_tasks_from_batches, render_timeline, simulate, suggest_candidates,
+    ExtractConfig, SimConfig,
 };
 use alchemist_trace::{
-    decode_batches_par_recover, decode_batches_par_with, write_atomic, AtomicFile, ChunkInfo,
-    MultiSink, ProfileArtifact, RecoveryReport, TraceError, TraceReader, TraceStats, TraceWriter,
-    ALCP_MAGIC, ALCP_VERSION,
+    decode_batches_par_recover, decode_batches_par_with, replay_pipelined, write_atomic,
+    AtomicFile, ChunkInfo, MultiSink, ProfileArtifact, RecoveryReport, ReplayOptions, TraceError,
+    TraceReader, TraceStats, TraceWriter, ALCP_MAGIC, ALCP_VERSION,
 };
 use alchemist_vm::{
     run_with_metrics, CountingSink, EventBatch, ExecConfig, NullSink, Pc, Tid, Time, TraceSink,
     TrapKind, DEFAULT_BATCH_EVENTS,
 };
 use alchemist_workloads::Scale;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// `println!` for command output: a failed stdout write, above all a pipe
+/// whose reader has gone (`alchemist ... | head`), returns from the
+/// enclosing function as a [`CliError`] instead of panicking.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(CliError::stdout)?
+    };
+}
+
+/// `print!` counterpart of [`outln!`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*).map_err(CliError::stdout)?
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run_cli(&args) {
+    match run_cli(&args).and_then(|()| std::io::stdout().flush().map_err(CliError::stdout)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            // SIGINT is a request, not a failure: no "error:" prefix.
-            if e.kind == ErrorKind::Interrupted {
-                eprintln!("{}", e.msg);
-            } else {
-                eprintln!("error: {}", e.msg);
+            match e.kind {
+                // Whoever read stdout has stopped listening: end quietly.
+                ErrorKind::StdoutClosed => {}
+                // SIGINT is a request, not a failure: no "error:" prefix.
+                ErrorKind::Interrupted => eprintln!("{}", e.msg),
+                _ => eprintln!("error: {}", e.msg),
             }
             if e.show_usage {
                 eprintln!();
@@ -77,16 +93,20 @@ const USAGE: &str = "usage:
                    [--metrics text|json] [--metrics-out FILE]
   alchemist replay <trace.alct|workload> [--analysis profile,advise,stats]
                    [--top N] [--threads K] [--jobs N] [--batch-size N]
-                   [--scale S] [--shard-flush N] [--shard-depth N]
-                   [--war-waw LABEL] [--profile-out FILE.alcp] [--recover]
+                   [--scale S] [--war-waw LABEL] [--profile-out FILE.alcp]
+                   [--recover]
                    [--metrics text|json] [--metrics-out FILE]
   alchemist workloads [--json] [--scale S]
 
 where <workload> is a bundled workload name (see `alchemist workloads`)
 and S is one of tiny, small, default, large, huge (default tiny)
 
+replay --jobs N (N >= 2) decodes the trace on N-1 threads while one
+thread runs the analyses; the output is the same for every N
+
 exit codes: 0 success, 1 program error (compile error or runtime trap),
-2 usage, 3 I/O, 4 corrupt input, 5 internal error, 130 interrupted";
+2 usage, 3 I/O, 4 corrupt input, 5 internal error, 130 interrupted,
+141 stdout closed early (broken pipe; nothing more is printed)";
 
 /// The CLI's documented error taxonomy, one exit code per kind (see the
 /// trailing lines of [`USAGE`] and the README's exit-code table). Scripts
@@ -101,10 +121,12 @@ enum ErrorKind {
     Io,
     /// Structurally corrupt input: an unreadable trace or artifact.
     CorruptInput,
-    /// A defect on our side — e.g. a shard worker panicked mid-replay.
+    /// A defect on our side — e.g. a decode worker panicked mid-replay.
     Internal,
     /// SIGINT: the run was cancelled; partial artifacts were finalized.
     Interrupted,
+    /// Stdout was closed before the output was written (a broken pipe).
+    StdoutClosed,
 }
 
 impl ErrorKind {
@@ -117,6 +139,9 @@ impl ErrorKind {
             ErrorKind::Internal => 5,
             // Shell convention for "terminated by SIGINT" (128 + 2).
             ErrorKind::Interrupted => 130,
+            // Likewise for SIGPIPE (128 + 13), the signal a closed pipe
+            // raises in programs that do not ignore it.
+            ErrorKind::StdoutClosed => 141,
         }
     }
 }
@@ -166,6 +191,15 @@ impl CliError {
     fn interrupted(msg: impl Into<String>) -> Self {
         Self::with_kind(msg, ErrorKind::Interrupted)
     }
+
+    /// A failed write of command output to stdout.
+    fn stdout(e: std::io::Error) -> Self {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            Self::with_kind("stdout closed", ErrorKind::StdoutClosed)
+        } else {
+            Self::io(format!("cannot write to stdout: {e}"))
+        }
+    }
 }
 
 impl From<String> for CliError {
@@ -184,18 +218,14 @@ impl From<&str> for CliError {
     }
 }
 
-impl From<ShardError> for CliError {
-    fn from(e: ShardError) -> Self {
-        CliError::internal(format!("internal error: {e}"))
-    }
-}
-
 /// Maps a failed trace read to the taxonomy: an OS-level failure is I/O,
-/// anything else (bad magic, truncation, CRC mismatch...) is corrupt input.
+/// a panicked decode worker is our defect, and anything else (bad magic,
+/// truncation, CRC mismatch...) is corrupt input.
 fn trace_read_err(path: &str, e: &TraceError) -> CliError {
     let msg = format!("cannot read {path}: {e}");
     match e {
         TraceError::Io(_) => CliError::io(msg),
+        TraceError::WorkerPanicked(_) => CliError::internal(msg),
         _ => CliError::corrupt(msg),
     }
 }
@@ -350,7 +380,7 @@ impl MetricsOpt {
                     .map_err(|e| CliError::io(format!("cannot create {path}: {e}")))?;
                 eprintln!("wrote metrics to {path}");
             }
-            None => print!("{rendered}"),
+            None => out!("{rendered}"),
         }
         Ok(())
     }
@@ -521,13 +551,13 @@ fn render_profile_report(
     top: usize,
     war_waw: Option<&str>,
 ) -> Result<(), CliError> {
-    print!("{}", report.render(top));
+    out!("{}", report.render(top));
     if let Some(label) = war_waw {
         let c = report
             .find(label)
             .ok_or_else(|| format!("no construct matching `{label}`"))?;
-        println!("\nWAR/WAW profile for {}:", c.label);
-        print!("{}", report.render_war_waw(c.head));
+        outln!("\nWAR/WAW profile for {}:", c.label);
+        out!("{}", report.render_war_waw(c.head));
     }
     Ok(())
 }
@@ -555,23 +585,23 @@ fn profile_cmd(args: &[String]) -> Result<(), CliError> {
     let outcome =
         profile_source(&a.source, a.input).map_err(|e| CliError::runtime(e.to_string()))?;
     let report = outcome.report();
-    println!(
+    outln!(
         "profiled {} instructions, {} static constructs, exit value {}",
         outcome.exec.steps,
         outcome.profile.len(),
         outcome.exec.exit_value
     );
-    println!();
+    outln!();
     render_profile_report(&report, a.top, a.war_waw.as_deref())?;
     if let Some(path) = a.csv_constructs {
         write_atomic(&path, alchemist_core::constructs_to_csv(&report).as_bytes())
             .map_err(|e| CliError::io(format!("cannot write {path}: {e}")))?;
-        println!("\nwrote construct table to {path}");
+        outln!("\nwrote construct table to {path}");
     }
     if let Some(path) = a.csv_edges {
         write_atomic(&path, alchemist_core::edges_to_csv(&report).as_bytes())
             .map_err(|e| CliError::io(format!("cannot write {path}: {e}")))?;
-        println!("wrote edge table to {path}");
+        outln!("wrote edge table to {path}");
     }
     Ok(())
 }
@@ -653,7 +683,7 @@ fn profile_save_cmd(args: &[String]) -> Result<(), CliError> {
         save_from_source(&source, inputs, m)?
     };
     let n = write_artifact(&artifact, &out_path, m)?;
-    println!(
+    outln!(
         "wrote profile artifact to {out_path} ({n} bytes, {} constructs, \
          {} recorded instructions)",
         artifact.profile.len(),
@@ -744,10 +774,12 @@ fn surface_salvage(report: &RecoveryReport, metrics: Option<&Metrics>) {
     }
 }
 
-/// Replays a recorded trace (chunk-parallel with `--jobs`) into a profile
-/// artifact, embedding the trace's source and the best candidate's task
-/// summary — all offline, no re-execution. With `recover`, corrupt or
-/// truncated chunks are skipped instead of failing the save.
+/// Replays a recorded trace into a profile artifact, embedding the trace's
+/// source and the best candidate's task summary — all offline, no
+/// re-execution. The trace is decoded into memory once (chunk-parallel
+/// with `--jobs`), since task extraction needs the stream a second time.
+/// With `recover`, corrupt or truncated chunks are skipped instead of
+/// failing the save.
 fn save_from_trace(
     path: &str,
     jobs: usize,
@@ -767,14 +799,7 @@ fn save_from_trace(
     } else {
         decode_batches_par_with(reader, jobs, m).map_err(|e| trace_read_err(path, &e))?
     };
-    let (profile, _, _) = profile_batches_par_with(
-        &module,
-        &batches,
-        summary.total_steps,
-        ProfileConfig::default(),
-        jobs,
-        m,
-    )?;
+    let profile = profile_decoded(&module, &batches, summary.total_steps, m);
     let mut artifact = ProfileArtifact::new(profile).with_source(source);
     let report = ProfileReport::new(&artifact.profile, &module);
     let candidates = suggest_candidates(&report, &module, 0.02, 0);
@@ -783,17 +808,33 @@ fn save_from_trace(
         for v in &best.privatize {
             cfg = cfg.privatize(v);
         }
-        let tasks = extract_tasks_from_batches_par_with(
-            &module,
-            cfg,
-            &batches,
-            summary.total_steps,
-            jobs,
-            m,
-        )?;
+        let tasks = extract_tasks_from_batches(&module, cfg, &batches, summary.total_steps, m);
         artifact = artifact.with_tasks(tasks);
     }
     Ok(artifact)
+}
+
+/// Profiles already-decoded batches on this thread under the `profile`
+/// span, counting events and dependences as the streaming pass does.
+fn profile_decoded(
+    module: &alchemist_vm::Module,
+    batches: &[EventBatch],
+    total_steps: u64,
+    m: Option<&Metrics>,
+) -> DepProfile {
+    let _profile_span = span_opt(m, Stage::Profile);
+    let (profile, _, _) = profile_batches(module, batches, total_steps, ProfileConfig::default());
+    if let Some(m) = m {
+        m.add(
+            Counter::ProfileEvents,
+            batches.iter().map(|b| b.len() as u64).sum(),
+        );
+        m.add(
+            Counter::ProfileDeps,
+            profile.intra_thread_deps + profile.cross_thread_deps,
+        );
+    }
+    profile
 }
 
 /// `profile merge`: fold N artifacts into one through the
@@ -857,7 +898,7 @@ fn profile_merge_cmd(args: &[String]) -> Result<(), CliError> {
         )));
     };
     let n = write_artifact(&merged, &out_path, m)?;
-    println!(
+    outln!(
         "merged {survivors} artifact(s) into {out_path} ({n} bytes, {} constructs, \
          {} recorded instructions)",
         merged.profile.len(),
@@ -953,7 +994,7 @@ fn profile_query_cmd(args: &[String]) -> Result<(), CliError> {
     };
     for (i, analysis) in analyses.iter().enumerate() {
         if i > 0 {
-            println!();
+            outln!();
         }
         match analysis.as_str() {
             // The profile analysis deliberately never prints the file path:
@@ -961,12 +1002,12 @@ fn profile_query_cmd(args: &[String]) -> Result<(), CliError> {
             // saves vs a direct aggregated save) query identically.
             "profile" => {
                 let md = module.as_ref().expect("compiled above");
-                println!(
+                outln!(
                     "profile artifact: {} recorded instructions, {} static constructs",
                     artifact.profile.total_steps,
                     artifact.profile.len()
                 );
-                println!();
+                outln!();
                 let report = ProfileReport::new(&artifact.profile, md);
                 render_profile_report(&report, top, None)?;
                 if let Some(sel) = &construct {
@@ -982,8 +1023,8 @@ fn profile_query_cmd(args: &[String]) -> Result<(), CliError> {
                             .ok_or_else(|| format!("no construct matching `{sel}`"))?;
                         (c.label.clone(), c.head)
                     };
-                    println!("\nWAR/WAW profile for {label}:");
-                    print!("{}", report.render_war_waw(head));
+                    outln!("\nWAR/WAW profile for {label}:");
+                    out!("{}", report.render_war_waw(head));
                 }
             }
             "advise" => {
@@ -991,39 +1032,43 @@ fn profile_query_cmd(args: &[String]) -> Result<(), CliError> {
                 let report = ProfileReport::new(&artifact.profile, md);
                 let candidates = suggest_candidates(&report, md, 0.02, 0);
                 if candidates.is_empty() {
-                    println!("no construct qualifies for asynchronous execution");
-                    println!("(every sizable construct has violating RAW dependences)");
+                    outln!("no construct qualifies for asynchronous execution");
+                    outln!("(every sizable construct has violating RAW dependences)");
                     continue;
                 }
-                println!("parallelization candidates (largest first):\n");
+                outln!("parallelization candidates (largest first):\n");
                 for c in &candidates {
-                    println!(
+                    outln!(
                         "  {:<30} {:>5.1}% of run, violating RAW: {}",
                         c.label,
                         c.norm_size * 100.0,
                         c.violating_raw
                     );
                     if !c.privatize.is_empty() {
-                        println!("      privatize: {}", c.privatize.join(", "));
+                        outln!("      privatize: {}", c.privatize.join(", "));
                     }
                 }
                 match &artifact.tasks {
                     Some(tasks) => {
                         let sim = simulate(tasks, &SimConfig::with_threads(threads));
-                        println!(
+                        outln!(
                             "\nsimulating `{}` (embedded task summary) on {} threads: \
                              {:.2}x speedup ({} tasks, {} joins)",
-                            candidates[0].label, threads, sim.speedup, sim.tasks, sim.main_joins
+                            candidates[0].label,
+                            threads,
+                            sim.speedup,
+                            sim.tasks,
+                            sim.main_joins
                         );
                         if tasks.cross_thread_sharing > 0 {
-                            println!(
+                            outln!(
                                 "cross-thread: {} dependences already run on separate program \
                                  threads (excluded from serialization cost)",
                                 tasks.cross_thread_sharing
                             );
                         }
                     }
-                    None => println!(
+                    None => outln!(
                         "\n(no embedded task summary: merged artifacts drop schedules; \
                          re-run `profile save` on a single run or a trace to simulate offline)"
                     ),
@@ -1033,31 +1078,32 @@ fn profile_query_cmd(args: &[String]) -> Result<(), CliError> {
                 let file_bytes = std::fs::metadata(&path)
                     .map_err(|e| CliError::io(format!("cannot stat {path}: {e}")))?
                     .len();
-                println!("profile artifact {path}: format v{ALCP_VERSION}, {file_bytes} bytes");
+                outln!("profile artifact {path}: format v{ALCP_VERSION}, {file_bytes} bytes");
                 match &artifact.source {
-                    Some(s) => println!("embedded source: yes ({} lines)", s.lines().count()),
-                    None => println!("embedded source: no"),
+                    Some(s) => outln!("embedded source: yes ({} lines)", s.lines().count()),
+                    None => outln!("embedded source: no"),
                 }
                 match &artifact.tasks {
-                    Some(t) => println!(
+                    Some(t) => outln!(
                         "task summary: yes ({} tasks, {} joins)",
                         t.tasks.len(),
                         t.main_joins.len()
                     ),
-                    None => println!("task summary: no"),
+                    None => outln!("task summary: no"),
                 }
                 let edges: usize = artifact.profile.constructs().map(|c| c.edges.len()).sum();
-                println!(
+                outln!(
                     "profile: {} recorded instructions, {} constructs, {} dependence edges",
                     artifact.profile.total_steps,
                     artifact.profile.len(),
                     edges
                 );
-                println!(
+                outln!(
                     "dependences: {} intra-thread, {} cross-thread",
-                    artifact.profile.intra_thread_deps, artifact.profile.cross_thread_deps
+                    artifact.profile.intra_thread_deps,
+                    artifact.profile.cross_thread_deps
                 );
-                println!(
+                outln!(
                     "reads dropped at reader cap: {}",
                     artifact.profile.dropped_readers
                 );
@@ -1112,11 +1158,12 @@ fn run_cmd(args: &[String]) -> Result<(), CliError> {
         }
     };
     for v in &out.output {
-        println!("{v}");
+        outln!("{v}");
     }
-    println!(
+    outln!(
         "exit value: {} ({} instructions)",
-        out.exit_value, out.steps
+        out.exit_value,
+        out.steps
     );
     if let (Some(path), Some(p)) = (&a.profile_out, profile) {
         let artifact = ProfileArtifact::new(p).with_source(&*a.source);
@@ -1136,20 +1183,20 @@ fn advise_cmd(args: &[String]) -> Result<(), CliError> {
     let report: ProfileReport = outcome.report();
     let candidates = suggest_candidates(&report, &outcome.module, 0.02, 0);
     if candidates.is_empty() {
-        println!("no construct qualifies for asynchronous execution");
-        println!("(every sizable construct has violating RAW dependences)");
+        outln!("no construct qualifies for asynchronous execution");
+        outln!("(every sizable construct has violating RAW dependences)");
         return Ok(());
     }
-    println!("parallelization candidates (largest first):\n");
+    outln!("parallelization candidates (largest first):\n");
     for c in &candidates {
-        println!(
+        outln!(
             "  {:<30} {:>5.1}% of run, violating RAW: {}",
             c.label,
             c.norm_size * 100.0,
             c.violating_raw
         );
         if !c.privatize.is_empty() {
-            println!("      privatize: {}", c.privatize.join(", "));
+            outln!("      privatize: {}", c.privatize.join(", "));
         }
     }
     // Simulate the top candidate.
@@ -1161,13 +1208,17 @@ fn advise_cmd(args: &[String]) -> Result<(), CliError> {
     let trace = extract_tasks(&outcome.module, &ExecConfig::with_input(a.input), cfg)
         .map_err(|e| CliError::runtime(e.to_string()))?;
     let sim = simulate(&trace, &SimConfig::with_threads(a.threads));
-    println!(
+    outln!(
         "\nsimulating `{}` as a future on {} threads: {:.2}x speedup \
          ({} tasks, {} joins)",
-        best.label, a.threads, sim.speedup, sim.tasks, sim.main_joins
+        best.label,
+        a.threads,
+        sim.speedup,
+        sim.tasks,
+        sim.main_joins
     );
     if trace.cross_thread_sharing > 0 {
-        println!(
+        outln!(
             "cross-thread: {} dependences already run on separate program \
              threads (excluded from serialization cost)",
             trace.cross_thread_sharing
@@ -1212,22 +1263,25 @@ fn simulate_cmd(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::runtime(e.to_string()))?;
     let sim_cfg = SimConfig::with_threads(a.threads);
     if a.timeline {
-        print!("{}", render_timeline(&trace, &sim_cfg, 72));
+        out!("{}", render_timeline(&trace, &sim_cfg, 72));
     } else {
         let sim = simulate(&trace, &sim_cfg);
-        println!(
+        outln!(
             "marked [{}] privatized [{}]",
             a.mark.join(", "),
             a.privatize.join(", ")
         );
-        println!(
+        outln!(
             "{} tasks, serial fraction {:.1}%",
             trace.tasks.len(),
             trace.serial_fraction() * 100.0
         );
-        println!(
+        outln!(
             "sequential {} -> parallel {} instructions on {} threads: {:.2}x",
-            sim.t_seq, sim.t_par, a.threads, sim.speedup
+            sim.t_seq,
+            sim.t_par,
+            a.threads,
+            sim.speedup
         );
     }
     Ok(())
@@ -1426,11 +1480,12 @@ fn record_cmd(args: &[String]) -> Result<(), CliError> {
         write_artifact(&artifact, path, metrics.as_deref())?;
         eprintln!("wrote profile artifact to {path}");
     }
-    println!(
+    outln!(
         "recorded {} events in {} chunks to {out_path}",
-        stats.events, stats.chunks
+        stats.events,
+        stats.chunks
     );
-    println!(
+    outln!(
         "{} bytes ({:.2} bytes/event), {} instructions, exit value {}",
         stats.bytes,
         stats.bytes_per_event(),
@@ -1451,8 +1506,6 @@ fn replay_cmd(args: &[String]) -> Result<(), CliError> {
         "--jobs",
         "--batch-size",
         "--scale",
-        "--shard-flush",
-        "--shard-depth",
         "--war-waw",
         "--profile-out",
         "--recover",
@@ -1466,8 +1519,6 @@ fn replay_cmd(args: &[String]) -> Result<(), CliError> {
     let mut jobs = 1usize;
     let mut batch_size = None;
     let mut scale = None;
-    let mut shard_flush = None;
-    let mut shard_depth = None;
     let mut war_waw = None;
     let mut profile_out = None;
     let mut recover = false;
@@ -1511,12 +1562,6 @@ fn replay_cmd(args: &[String]) -> Result<(), CliError> {
             "--scale" => {
                 scale = Some(parse_scale(it.next())?);
             }
-            "--shard-flush" => {
-                shard_flush = Some(parse_ge1("--shard-flush", it.next())?);
-            }
-            "--shard-depth" => {
-                shard_depth = Some(parse_ge1("--shard-depth", it.next())?);
-            }
             "--war-waw" => {
                 war_waw = Some(it.next().ok_or("--war-waw needs a label")?.clone());
             }
@@ -1530,10 +1575,6 @@ fn replay_cmd(args: &[String]) -> Result<(), CliError> {
     // `--analysis` accepts a comma-separated list; one decode pass serves
     // every requested analysis.
     let analyses = parse_analyses(&analysis)?;
-    let tuning = ShardTuning {
-        channel_depth: shard_depth.unwrap_or(alchemist_core::SHARD_CHANNEL_DEPTH),
-        flush_events: shard_flush.unwrap_or(alchemist_core::SHARD_FLUSH_EVENTS),
-    };
     // The positional may also name a bundled workload: record it to a
     // temporary trace at the requested scale, replay that, clean up. This
     // is what lets the perf suite drive tens-of-millions-of-events replays
@@ -1576,7 +1617,6 @@ fn replay_cmd(args: &[String]) -> Result<(), CliError> {
         threads,
         jobs,
         batch_size,
-        tuning,
         war_waw.as_deref(),
         profile_out.as_deref(),
         recover,
@@ -1641,11 +1681,13 @@ fn trace_module(
 
 /// Runs the requested analyses over one trace with **one decode pass**.
 ///
-/// The decoded batch stream fans out through a [`MultiSink`]: with
-/// `jobs <= 1` and no advise request the batches stream straight from the
-/// reader into every sink; otherwise the batches are materialized once
-/// (chunk-parallel when `jobs > 1`) and shared by the sharded profiler,
-/// the stats sinks and task extraction.
+/// The decoded batch stream fans out through a [`MultiSink`]. Without
+/// advise or `--recover` it streams through [`replay_pipelined`] into
+/// every sink, on any job count (`--jobs N >= 2` decodes on `N - 1`
+/// workers while this thread runs the sinks). Advise needs the stream a
+/// second time, for task extraction, and salvage needs the whole file
+/// indexed, so those two materialize the batches once (chunk-parallel with
+/// `--jobs`) and every analysis reads them.
 #[allow(clippy::too_many_arguments)]
 fn run_replay(
     path: &str,
@@ -1654,7 +1696,6 @@ fn run_replay(
     threads: usize,
     jobs: usize,
     batch_size: Option<usize>,
-    tuning: ShardTuning,
     war_waw: Option<&str>,
     profile_out: Option<&str>,
     recover: bool,
@@ -1696,7 +1737,6 @@ fn run_replay(
     let mut profile: Option<DepProfile> = None;
     let mut recovery: Option<RecoveryReport> = None;
     let mut batches_kept: Option<Vec<EventBatch>> = None;
-    let mut shard_counts: Option<Vec<u64>> = None;
     let mut counts = CountingSink::default();
     let mut addrs = AddrSpan::default();
     let mut drops = None;
@@ -1724,20 +1764,17 @@ fn run_replay(
         if profile_out.is_some() {
             source_for_artifact = reader.source().map(str::to_owned);
         }
+        // Every path but the one-job stream hands the analyses one batch
+        // per trace chunk, so an explicit --batch-size cannot take effect
+        // there — say so rather than silently ignoring the flag.
+        if batch_size.is_some() && (jobs > 1 || need_advise || recover) {
+            eprintln!(
+                "note: --batch-size is ignored with --jobs > 1, --analysis advise or \
+                 --recover (batches follow the trace's chunk boundaries)"
+            );
+        }
 
-        if jobs > 1 || need_advise || recover {
-            // Materialize the batch stream once; every analysis reuses it.
-            // (--recover rides this path too: the salvage reader indexes the
-            // whole file to find intact chunks past a damaged one.) The
-            // batches follow the trace's chunk boundaries here, so an
-            // explicit --batch-size cannot take effect — say so rather than
-            // silently ignoring the flag.
-            if batch_size.is_some() {
-                eprintln!(
-                    "note: --batch-size is ignored with --jobs > 1, --analysis advise or \
-                     --recover (batches follow the trace's chunk boundaries)"
-                );
-            }
+        if need_advise || recover {
             let (batches, s) = if recover {
                 let (batches, s, rep) = decode_batches_par_recover(reader, jobs, m);
                 surface_salvage(&rep, m);
@@ -1759,45 +1796,20 @@ fn run_replay(
             }
             if need_profile {
                 let md = module.as_ref().expect("profile requires a module");
-                // One partition choice serves the profiler, the per-shard
-                // summary and the report's imbalance note.
-                let spec = ShardSpec::for_batches(&batches, jobs as u32);
-                let (p, _, _) = {
-                    let _profile_span = span_opt(m, Stage::Profile);
-                    profile_batches_par_spec(
-                        md,
-                        &batches,
-                        summary.total_steps,
-                        ProfileConfig::default(),
-                        spec,
-                        tuning,
-                        m,
-                    )?
-                };
-                if jobs > 1 {
-                    let per_shard = shard_batch_counts_spec(&batches, spec);
-                    let rendered: Vec<String> = per_shard.iter().map(|c| c.to_string()).collect();
-                    eprintln!(
-                        "sharded replay across {jobs} workers, block-cyclic over \
-                         {}-word blocks (memory events per shard: {})",
-                        spec.block_words(),
-                        rendered.join(", ")
-                    );
-                    shard_counts = Some(per_shard);
-                }
-                profile = Some(p);
+                profile = Some(profile_decoded(md, &batches, summary.total_steps, m));
             }
             if need_advise {
                 batches_kept = Some(batches);
             }
         } else {
             // Streaming path: one batched pass, no event buffer; the
-            // MultiSink fans each batch out to every requested sink. The
-            // pass fuses decode with analysis, so it runs under the
-            // `profile` stage when profiling (and plain `decode` when only
-            // stats were asked for); the reader still counts chunks, bytes
-            // and events either way.
-            let mut reader = reader.with_metrics(Arc::clone(&metrics));
+            // MultiSink fans each batch out to every requested sink. With
+            // one job, decode and analysis interleave on this thread, so
+            // the pass runs under one span: `profile` when profiling,
+            // `decode` when only stats were asked for. With more, the
+            // pipeline records decode (workers) and profile (this thread,
+            // in the sinks) separately. The chunk, byte and event counters
+            // are the same either way.
             let mut prof = if need_profile {
                 let md = module.as_ref().expect("profile requires a module");
                 Some(AlchemistProfiler::new(md, ProfileConfig::default()))
@@ -1815,14 +1827,18 @@ fn run_replay(
                 }
             }
             summary = {
-                let _pass_span = if need_profile {
-                    span_opt(m, Stage::Profile)
+                let pass_stage = if need_profile {
+                    Stage::Profile
                 } else {
-                    span_opt(m, Stage::Decode)
+                    Stage::Decode
                 };
-                reader
-                    .replay_batched_into(&mut fan, batch_size.unwrap_or(DEFAULT_BATCH_EVENTS))
-                    .map_err(|e| trace_read_err(path, &e))?
+                let _pass_span = span_opt(if jobs > 1 { None } else { m }, pass_stage);
+                let options = ReplayOptions {
+                    jobs,
+                    batch_size: batch_size.unwrap_or(DEFAULT_BATCH_EVENTS),
+                    metrics: Some(Arc::clone(&metrics)),
+                };
+                replay_pipelined(reader, &mut fan, options).map_err(|e| trace_read_err(path, &e))?
             };
             drop(fan);
             if let Some(p) = prof {
@@ -1840,23 +1856,20 @@ fn run_replay(
 
     for (i, analysis) in analyses.iter().enumerate() {
         if i > 0 {
-            println!();
+            outln!();
         }
         match analysis.as_str() {
             "profile" => {
                 let p = profile.as_ref().expect("profiled above");
                 let md = module.as_ref().expect("profile requires a module");
-                println!(
+                outln!(
                     "replayed {} events ({} recorded instructions), {} static constructs",
                     summary.events,
                     summary.total_steps,
                     p.len()
                 );
-                println!();
+                outln!();
                 let mut report = ProfileReport::new(p, md);
-                if let Some(c) = &shard_counts {
-                    report = report.with_shard_events(c.clone());
-                }
                 // A salvaged profile is a lower bound, not the full run;
                 // say so on the report itself, not just on stderr.
                 if let Some(rep) = recovery.as_ref().filter(|r| !r.is_clean()) {
@@ -1868,7 +1881,7 @@ fn run_replay(
                 let p = profile.as_ref().expect("profiled above");
                 let md = module.as_ref().expect("advise requires a module");
                 let batches = batches_kept.as_ref().expect("advise keeps the batches");
-                render_advise(md, p, batches, summary.total_steps, threads, jobs, m)?;
+                render_advise(md, p, batches, summary.total_steps, threads, m)?;
             }
             "stats" => {
                 let (version, infos, source_lines) = stats_scan.as_ref().expect("scanned above");
@@ -1896,7 +1909,7 @@ fn run_replay(
             artifact = artifact.with_source(src);
         }
         write_artifact(&artifact, out_path, m)?;
-        // Stderr, like the shard summary: stdout stays byte-identical
+        // Stderr, like the throughput line: stdout stays byte-identical
         // across job counts for the parity tests.
         eprintln!("wrote profile artifact to {out_path}");
     }
@@ -1906,33 +1919,31 @@ fn run_replay(
 
 /// Prints parallelization candidates and simulates the best one from the
 /// already-decoded batch stream: no re-execution, no re-decode.
-#[allow(clippy::too_many_arguments)]
 fn render_advise(
     module: &alchemist_vm::Module,
     profile: &DepProfile,
     batches: &[EventBatch],
     total_steps: u64,
     threads: usize,
-    jobs: usize,
     metrics: Option<&Metrics>,
 ) -> Result<(), CliError> {
     let report = ProfileReport::new(profile, module);
     let candidates = suggest_candidates(&report, module, 0.02, 0);
     if candidates.is_empty() {
-        println!("no construct qualifies for asynchronous execution");
-        println!("(every sizable construct has violating RAW dependences)");
+        outln!("no construct qualifies for asynchronous execution");
+        outln!("(every sizable construct has violating RAW dependences)");
         return Ok(());
     }
-    println!("parallelization candidates (largest first):\n");
+    outln!("parallelization candidates (largest first):\n");
     for c in &candidates {
-        println!(
+        outln!(
             "  {:<30} {:>5.1}% of run, violating RAW: {}",
             c.label,
             c.norm_size * 100.0,
             c.violating_raw
         );
         if !c.privatize.is_empty() {
-            println!("      privatize: {}", c.privatize.join(", "));
+            outln!("      privatize: {}", c.privatize.join(", "));
         }
     }
     // Simulate the top candidate from the same recorded batches: no
@@ -1942,16 +1953,19 @@ fn render_advise(
     for v in &best.privatize {
         cfg = cfg.privatize(v);
     }
-    let trace =
-        extract_tasks_from_batches_par_with(module, cfg, batches, total_steps, jobs, metrics)?;
+    let trace = extract_tasks_from_batches(module, cfg, batches, total_steps, metrics);
     let sim = simulate(&trace, &SimConfig::with_threads(threads));
-    println!(
+    outln!(
         "\nsimulating `{}` as a future on {} threads: {:.2}x speedup \
          ({} tasks, {} joins)",
-        best.label, threads, sim.speedup, sim.tasks, sim.main_joins
+        best.label,
+        threads,
+        sim.speedup,
+        sim.tasks,
+        sim.main_joins
     );
     if trace.cross_thread_sharing > 0 {
-        println!(
+        outln!(
             "cross-thread: {} dependences already run on separate program \
              threads (excluded from serialization cost)",
             trace.cross_thread_sharing
@@ -2061,12 +2075,12 @@ fn render_stats(
         .map_err(|e| CliError::io(format!("cannot stat {path}: {e}")))?
         .len();
     let payload: u64 = infos.iter().map(|c| c.payload_bytes).sum();
-    println!("trace {path}: format v{version}");
+    outln!("trace {path}: format v{version}");
     match source_lines {
-        Some(n) => println!("embedded source: yes ({n} lines)"),
-        None => println!("embedded source: no"),
+        Some(n) => outln!("embedded source: yes ({n} lines)"),
+        None => outln!("embedded source: no"),
     }
-    println!(
+    outln!(
         "chunks: {} ({} payload bytes), file {} bytes",
         infos.len(),
         payload,
@@ -2074,9 +2088,9 @@ fn render_stats(
     );
     if let Some(rep) = recovery {
         if rep.is_clean() {
-            println!("recovery: clean (all {} chunk(s) intact)", rep.chunks_total);
+            outln!("recovery: clean (all {} chunk(s) intact)", rep.chunks_total);
         } else {
-            println!(
+            outln!(
                 "recovery: skipped {} of {} chunk(s), >= {} event(s) lost \
                  ({} CRC mismatch(es), {} truncation(s), {} decode error(s))",
                 rep.chunks_skipped,
@@ -2087,11 +2101,11 @@ fn render_stats(
                 rep.decode_errors
             );
             if !rep.footer_recovered {
-                println!("recovery: footer lost; total steps is a lower-bound estimate");
+                outln!("recovery: footer lost; total steps is a lower-bound estimate");
             }
         }
     }
-    println!(
+    outln!(
         "events: {} total — enters {}, exits {}, blocks {}, predicates {}, reads {}, writes {}",
         events,
         counts.enters,
@@ -2101,7 +2115,7 @@ fn render_stats(
         counts.reads,
         counts.writes
     );
-    println!(
+    outln!(
         "encoded size: {:.2} bytes/event over {} recorded instructions",
         if events == 0 {
             0.0
@@ -2110,8 +2124,8 @@ fn render_stats(
         },
         total_steps
     );
-    // Wall-clock throughput is inherently run-dependent, so — like the
-    // per-shard summary — it goes to stderr, keeping stdout byte-identical
+    // Wall-clock throughput is inherently run-dependent, so it goes to
+    // stderr, keeping stdout byte-identical
     // across job counts and repeat runs (the determinism guarantee the CLI
     // parity tests diff for).
     if wall_ns > 0 && events > 0 {
@@ -2124,13 +2138,13 @@ fn render_stats(
         );
     }
     if let (Some(first), Some(last)) = (infos.first(), infos.last()) {
-        println!("time range: [{}, {}]", first.t_first, last.t_last);
+        outln!("time range: [{}, {}]", first.t_first, last.t_last);
     }
     if addrs.seen {
-        println!("data addresses touched: [{}, {}]", addrs.lo, addrs.hi);
+        outln!("data addresses touched: [{}, {}]", addrs.lo, addrs.hi);
     }
     if let Some(d) = drops {
-        println!(
+        outln!(
             "reads dropped at reader cap {}: {}{}",
             ProfileConfig::default().reader_cap,
             d.shadow.dropped_readers,
@@ -2141,7 +2155,7 @@ fn render_stats(
             }
         );
         let st = d.shadow.stats();
-        println!(
+        outln!(
             "shadow layout: {} page(s) of {} cells faulted in, {} read-set \
              spill(s) past the inline capacity of {}{}",
             st.pages_allocated,
@@ -2186,7 +2200,7 @@ fn workloads_cmd(args: &[String]) -> Result<(), CliError> {
     }
     let scale = scale.unwrap_or(Scale::Tiny);
     if json {
-        println!("[");
+        outln!("[");
         let suite = alchemist_workloads::all();
         for (i, w) in suite.iter().enumerate() {
             let speedup = w
@@ -2229,7 +2243,7 @@ fn workloads_cmd(args: &[String]) -> Result<(), CliError> {
                 + counts.predicates
                 + counts.reads
                 + counts.writes;
-            println!(
+            outln!(
                 "  {{\"name\": \"{}\", \"loc\": {}, \"description\": \"{}\", \"source\": \"{}\", \
                  \"threaded\": {}, \"events\": {}, \"steps\": {}, \"trace_bytes\": {}, \
                  \"profile_bytes\": {}, \"paper_speedup\": {}}}{}",
@@ -2246,11 +2260,11 @@ fn workloads_cmd(args: &[String]) -> Result<(), CliError> {
                 if i + 1 < suite.len() { "," } else { "" }
             );
         }
-        println!("]");
+        outln!("]");
     } else {
-        println!("{:<12} {:>5}  description", "name", "LOC");
+        outln!("{:<12} {:>5}  description", "name", "LOC");
         for w in alchemist_workloads::all() {
-            println!("{:<12} {:>5}  {}", w.name, w.loc(), w.description);
+            outln!("{:<12} {:>5}  {}", w.name, w.loc(), w.description);
         }
     }
     Ok(())

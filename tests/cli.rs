@@ -242,10 +242,12 @@ fn record_then_replay_profile_matches_live_profile() {
 fn parallel_replay_report_is_identical_to_sequential() {
     let src_path = write_temp("recordpar", PROGRAM);
     let trace_path = temp_trace_path("recordpar");
+    // Small chunks, so the pipelined replays below hand many batches
+    // through their workers.
     let rec = bin()
         .args(["record"])
         .arg(&src_path)
-        .arg("-o")
+        .args(["--chunk-events", "64", "-o"])
         .arg(&trace_path)
         .output()
         .expect("spawns");
@@ -254,53 +256,29 @@ fn parallel_replay_report_is_identical_to_sequential() {
         "{}",
         String::from_utf8_lossy(&rec.stderr)
     );
-    let seq = bin()
-        .args(["replay"])
-        .arg(&trace_path)
-        .args(["--analysis", "profile"])
-        .output()
-        .expect("spawns");
-    let par = bin()
-        .args(["replay"])
-        .arg(&trace_path)
-        .args(["--analysis", "profile", "--jobs", "4"])
-        .output()
-        .expect("spawns");
-    assert!(
-        par.status.success(),
-        "{}",
-        String::from_utf8_lossy(&par.stderr)
-    );
-    // Determinism guarantee: sharded replay's stdout is byte-identical,
-    // modulo the one intentionally jobs-dependent line — the shard
-    // imbalance note, which only a sharded run can observe. PROGRAM's
-    // traffic clusters on a handful of hot words (the frame locals `i` and
-    // `c`), so no block-cyclic stride the partition ladder can pick spreads
-    // it evenly across 4 shards and the note must appear.
-    let seq_out = String::from_utf8_lossy(&seq.stdout).into_owned();
-    let par_out = String::from_utf8_lossy(&par.stdout).into_owned();
-    assert!(
-        !seq_out.contains("shard imbalance"),
-        "sequential replay has no shards to be imbalanced: {seq_out}"
-    );
-    assert!(
-        par_out.contains("note: shard imbalance max/min = "),
-        "expected the imbalance note in the sharded report: {par_out}"
-    );
-    let par_sans_note: String = par_out
-        .lines()
-        .filter(|l| !l.starts_with("note: shard imbalance"))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert_eq!(seq_out, par_sans_note, "sharded report diverges");
-    // The shard summary goes to stderr, out of the report's way.
-    assert!(
-        String::from_utf8_lossy(&par.stderr).contains("memory events per shard"),
-        "{}",
-        String::from_utf8_lossy(&par.stderr)
-    );
+    // Determinism guarantee: the report on stdout is byte-identical on
+    // every job count, with no line filtered out.
+    let replay_with = |jobs: &str| {
+        let out = bin()
+            .args(["replay"])
+            .arg(&trace_path)
+            .args(["--analysis", "profile", "--jobs", jobs])
+            .output()
+            .expect("spawns");
+        assert!(
+            out.status.success(),
+            "--jobs {jobs}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 report")
+    };
+    let seq_out = replay_with("1");
+    assert!(seq_out.contains("Method main"), "{seq_out}");
+    for jobs in ["2", "4"] {
+        assert_eq!(seq_out, replay_with(jobs), "--jobs {jobs} report diverges");
+    }
 
-    // The stats analysis honors --jobs too (chunk-parallel decode), with
+    // The stats analysis honors --jobs too (pipelined decode), with
     // identical output.
     let stats_seq = bin()
         .args(["replay"])
@@ -414,17 +392,18 @@ fn scale_and_shard_tunables_are_validated() {
         .output()
         .expect("spawns");
     assert!(rec.status.success());
-    // The handoff tunables take the same >= 1 validation as --batch-size.
+    // Replay no longer shards by address, so the old hand-off tunables
+    // are unknown flags: a usage error that names them.
     for flag in ["--shard-flush", "--shard-depth"] {
         let out = bin()
             .args(["replay"])
             .arg(&trace_path)
-            .args([flag, "0"])
+            .args([flag, "1"])
             .output()
             .expect("spawns");
-        assert!(!out.status.success(), "{flag}");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains(&format!("{flag} must be >= 1")),
+            String::from_utf8_lossy(&out.stderr).contains(&format!("unknown flag `{flag}`")),
             "{flag}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
@@ -503,32 +482,23 @@ fn workload_name_positional_records_and_replays() {
         from_file.stdout, from_name.stdout,
         "workload-name replay diverges from file replay"
     );
-    // The handoff tunables change scheduling, never results: a sharded
-    // replay with a degenerate 1-event flush and 1-deep channel still
-    // renders the sequential report (modulo the jobs-dependent imbalance
-    // note).
-    let tuned = bin()
-        .args(["replay", "130.li"])
-        .args(["--jobs", "3", "--shard-flush", "1", "--shard-depth", "1"])
-        .output()
-        .expect("spawns");
-    assert!(
-        tuned.status.success(),
-        "{}",
-        String::from_utf8_lossy(&tuned.stderr)
-    );
-    let strip = |bytes: &[u8]| -> String {
-        String::from_utf8_lossy(bytes)
-            .lines()
-            .filter(|l| !l.starts_with("note: shard imbalance"))
-            .map(|l| format!("{l}\n"))
-            .collect()
-    };
-    assert_eq!(
-        strip(&from_file.stdout),
-        strip(&tuned.stdout),
-        "shard tunables leaked into the report"
-    );
+    // The job count changes scheduling, never results: the pipelined
+    // replays render the sequential report byte for byte.
+    for jobs in ["2", "3", "4"] {
+        let par = bin()
+            .args(["replay", "130.li", "--jobs", jobs])
+            .output()
+            .expect("spawns");
+        assert!(
+            par.status.success(),
+            "{}",
+            String::from_utf8_lossy(&par.stderr)
+        );
+        assert_eq!(
+            from_file.stdout, par.stdout,
+            "--jobs {jobs} leaked into the report"
+        );
+    }
     let _ = std::fs::remove_file(trace_path);
 }
 
@@ -1088,4 +1058,61 @@ fn workloads_json_reports_profile_bytes() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"profile_bytes\":"), "{stdout}");
+}
+
+/// Runs the CLI with a stdout pipe that the reader closes after reading
+/// `keep` bytes (`alchemist ... | head -c keep`); returns the exit code
+/// and stderr.
+fn run_into_closed_pipe(args: &[&std::ffi::OsStr], keep: usize) -> (Option<i32>, String) {
+    use std::io::Read as _;
+    let mut child = bin()
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut head = vec![0u8; keep];
+    stdout.read_exact(&mut head).expect("first bytes");
+    drop(stdout);
+    let out = child.wait_with_output().expect("waits");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn a_closed_stdout_ends_commands_quietly() {
+    let src_path = write_temp("brokenpipe", PROGRAM);
+    let trace_path = temp_trace_path("brokenpipe");
+    let rec = bin()
+        .args(["record"])
+        .arg(&src_path)
+        .arg("-o")
+        .arg(&trace_path)
+        .output()
+        .expect("spawns");
+    assert!(rec.status.success());
+    let workloads = ["workloads", "--json"].map(std::ffi::OsStr::new);
+    let replay = [
+        std::ffi::OsStr::new("replay"),
+        trace_path.as_os_str(),
+        std::ffi::OsStr::new("--top"),
+        std::ffi::OsStr::new("50"),
+    ];
+    for args in [&workloads[..], &replay[..]] {
+        // Closed before the first write: the documented exit code, with
+        // nothing on stderr (no panic, no backtrace, no error line).
+        let (code, stderr) = run_into_closed_pipe(args, 0);
+        assert_eq!(code, Some(141), "{args:?}: {stderr}");
+        assert_eq!(stderr, "", "{args:?}");
+        // Closed after a few bytes, like `| head -c 10`: the output may
+        // already sit in the pipe buffer, so success is fine too.
+        let (code, stderr) = run_into_closed_pipe(args, 10);
+        assert!(matches!(code, Some(0 | 141)), "{args:?}: {code:?} {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(src_path);
+    let _ = std::fs::remove_file(trace_path);
 }

@@ -1,17 +1,23 @@
-//! Sharded parallel replay parity: for every bundled workload, replaying a
-//! recorded trace through N address shards on worker threads must produce a
-//! `DepProfile` **equal** (`==`) to both the sequential replay and live
-//! instrumentation — and likewise for sharded task extraction. This is the
-//! determinism guarantee behind `replay --jobs N`, enforced in CI in
-//! release mode.
+//! Parallel replay parity, enforced in CI in release mode.
+//!
+//! * `replay --jobs N` pipelines decode on worker threads against one
+//!   profiler: for every bundled workload and job count the sink must see
+//!   the sequential reader's exact event stream, and the profile must be
+//!   **equal** (`==`) to live instrumentation.
+//! * The library's address-sharded replay (N shards on worker threads)
+//!   must produce a `DepProfile` equal to both the sequential replay and
+//!   live instrumentation, and likewise for sharded task extraction.
 
 use alchemist_core::{
     partition_batch, profile_batches_par, profile_events, profile_events_par, profile_module,
-    shard_event_counts, ProfileConfig, ShardSpec, PAGE_SHIFT,
+    shard_event_counts, AlchemistProfiler, ProfileConfig, ShardSpec, PAGE_SHIFT,
 };
 use alchemist_parsim::{extract_tasks, extract_tasks_from_events_par, ExtractConfig};
-use alchemist_trace::{decode_batches_par, decode_events_par, TraceReader, TraceWriter};
-use alchemist_vm::{Event, Module};
+use alchemist_trace::{
+    decode_batches_par, decode_events_par, replay_pipelined, MultiSink, ReplayOptions, TraceReader,
+    TraceWriter,
+};
+use alchemist_vm::{Event, Module, RecordingSink};
 use alchemist_workloads::Scale;
 
 /// Records one workload run at `scale` into an in-memory trace.
@@ -34,6 +40,50 @@ fn record_at(w: &alchemist_workloads::Workload, scale: Scale) -> (Module, Vec<u8
 /// Records one workload run into an in-memory trace.
 fn record(w: &alchemist_workloads::Workload) -> (Module, Vec<u8>, u64) {
     record_at(w, Scale::Tiny)
+}
+
+#[test]
+fn pipelined_replay_delivers_the_sequential_stream_and_the_live_profile() {
+    for w in alchemist_workloads::all() {
+        let (module, bytes, steps) = record(w);
+        let (live, ..) = profile_module(
+            &module,
+            &w.exec_config(Scale::Tiny),
+            ProfileConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("{} trapped: {e}", w.name));
+        let seq: Vec<Event> = TraceReader::new(bytes.as_slice())
+            .expect("header")
+            .map(|e| e.expect("decode"))
+            .collect();
+        for jobs in [2usize, 3, 4] {
+            let mut rec = RecordingSink::default();
+            let mut prof = AlchemistProfiler::new(&module, ProfileConfig::default());
+            let summary = {
+                let mut fan = MultiSink::new();
+                fan.push(&mut rec).push(&mut prof);
+                let options = ReplayOptions {
+                    jobs,
+                    ..ReplayOptions::default()
+                };
+                let reader = TraceReader::new(bytes.as_slice()).expect("header");
+                replay_pipelined(reader, &mut fan, options).expect("pipelined replay")
+            };
+            assert_eq!(
+                rec.events, seq,
+                "{}: pipelined stream (jobs={jobs}) diverges",
+                w.name
+            );
+            assert_eq!(summary.events, seq.len() as u64, "{}", w.name);
+            assert_eq!(summary.total_steps, steps, "{}", w.name);
+            assert_eq!(
+                prof.into_profile(summary.total_steps),
+                live,
+                "{}: pipelined replay (jobs={jobs}) diverges from live",
+                w.name
+            );
+        }
+    }
 }
 
 #[test]
