@@ -1,5 +1,6 @@
-//! Indexing ablation (DESIGN.md E14): what the execution-index tree buys
-//! over plain aggregation by static construct.
+//! Indexing ablation (`IndexMode::CallContextOnly` against
+//! `IndexMode::Full`): what the execution-index tree buys over plain
+//! aggregation by static construct.
 //!
 //! The paper's section III argues context-insensitive profiles cannot
 //! distinguish (a) same-iteration, (b) cross-iteration and (c) cross-call

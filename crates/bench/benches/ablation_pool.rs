@@ -1,9 +1,9 @@
-//! Pool-size ablation (DESIGN.md E13): the paper bounds profiler memory
-//! with a 1M-entry construct pool and lazy retirement (Table I, Theorem 1)
-//! and reports that the pool never overflowed. This ablation shrinks the
-//! pool and shows (a) reuse kicking in, (b) overflow growths staying at
-//! zero for generous pools, and (c) the profile's violating-RAW counts
-//! surviving aggressive reuse.
+//! Pool-size ablation (`experiments::pool_ablation`): the paper bounds
+//! profiler memory with a 1M-entry construct pool and lazy retirement
+//! (Table I, Theorem 1) and reports that the pool never overflowed. This
+//! ablation shrinks the pool and shows (a) reuse kicking in, (b) overflow
+//! growths staying at zero for generous pools, and (c) the profile's
+//! violating-RAW counts surviving aggressive reuse.
 
 use alchemist_bench::{pool_ablation, render_pool_ablation};
 use alchemist_workloads::Scale;

@@ -12,9 +12,14 @@
 //!   addresses, large arrays): adds the page-indexing and, during
 //!   warm-up, the first-touch faulting the old sparse `HashMap` path
 //!   used to pay per lookup;
+//! * `fault_in_256_pages` — a fresh shadow per iteration, one word read
+//!   and written on each of 256 pages (a 2^20-word table, the
+//!   `wide-memory` benchmark's footprint): the first-touch cost of the
+//!   cell layout, page allocation and the read-set pool, with no steady
+//!   state to hide it;
 //! * `readset_inline` vs `readset_spill` — the same rotating-reader
 //!   pattern under a reader cap at the inline capacity vs far above it
-//!   (spilled cells), bounding the cost of the heap fallback;
+//!   (spilled read sets), bounding the cost of the heap fallback;
 //! * `record_dependence_*` — the profile-map update walk against warm
 //!   edge maps (the steady-state case: no new edges, only min/count
 //!   updates).
@@ -96,6 +101,26 @@ fn bench_shadow(c: &mut Criterion) {
                 } else if let Some(dep) = s.on_read(addr, acc((i % 3) as u32 + 10, t)) {
                     emitted += dep.addr as u64 % 2;
                 }
+            }
+            black_box((s.stats().pages_allocated, emitted))
+        })
+    });
+
+    // Fault-in: nothing is warm. Each iteration builds a shadow, faults in
+    // 256 pages through one read and one write per page, and drops it, so
+    // the time is the pages' allocation and initialization plus one pooled
+    // read set taken and released per page.
+    group.bench_function("fault_in_256_pages", |b| {
+        b.iter(|| {
+            let mut s: ShadowMemory<u32> = ShadowMemory::new(8);
+            let mut emitted = 0u64;
+            for page in 0..256u32 {
+                let addr = page * PAGE_WORDS as u32 + page % 7;
+                let t = 2 * page as Time;
+                if let Some(dep) = s.on_read(addr, acc(10, t)) {
+                    emitted += dep.addr as u64 % 2;
+                }
+                s.on_write(addr, acc(1, t + 1), &mut sink(&mut emitted));
             }
             black_box((s.stats().pages_allocated, emitted))
         })

@@ -22,30 +22,52 @@
 //! hold [`PAGE_WORDS`] cells each and are allocated on first touch, so
 //! untouched address ranges cost nothing, and every lookup after the first
 //! touch is two array indexings — no hashing, for dense globals and high
-//! frame addresses alike. (Earlier revisions backed the global segment
-//! with a flat vector and spilled high addresses into a `HashMap`; the
-//! paged table subsumes both.) [`ShadowMemory::with_dense_limit`]
-//! pre-sizes the page-table spine for a known-dense prefix so the spine
-//! never reallocates mid-run; the pages themselves always fault lazily.
+//! frame addresses alike. [`ShadowMemory::with_dense_limit`] pre-sizes the
+//! page-table spine for a known-dense prefix so the spine never
+//! reallocates mid-run; the pages themselves always fault lazily.
+//!
+//! A cell keeps only the last write and a `u32` handle to its read set:
+//! **40 bytes** with the profiler's [`NodeRef`] tag and 32 with the `()`
+//! and `Option<TaskId>` tags of the stats audit and the parallel
+//! simulator. A page therefore costs 160 KiB (128 KiB) to fault in. The
+//! cell is kept this small because a page is allocated and initialized
+//! whole on first touch: a program that touches all of a 2^20-word table
+//! faults in 256 pages per shadow.
+//!
+//! # Read-set pool
+//!
+//! The read sets live out of line, in a pool owned by the
+//! [`ShadowMemory`]. A cell takes a set on its first read after a write
+//! and gives it back, cleared, at its next write; released sets go on a
+//! free list and are reused before the pool grows, so the pool holds as
+//! many sets as there were words read since their last write at the
+//! busiest moment of the run. Sets are allocated 64 at a time in blocks
+//! that never move, so growing the pool copies nothing. A set with
+//! [`INLINE_READERS`] inline slots takes 224 bytes with the [`NodeRef`]
+//! tag. The worst case is a word that is read and never written again: it
+//! keeps its set to the end of the run, so a read-mostly program pays a
+//! cell plus a set for every word it reads.
 //!
 //! # Allocation-free hot path
 //!
-//! The per-address read set is an inline small-vector ([`INLINE_READERS`]
-//! slots — the default `reader_cap`): as long as a cell's read set stays
-//! within the inline capacity, [`ShadowMemory::on_read`] and
-//! [`ShadowMemory::on_write`] perform **no heap allocation** after the
-//! page is faulted in. A `reader_cap` above the inline capacity spills
-//! that cell's set to a heap vector (counted in
+//! Each read set is an inline small-vector ([`INLINE_READERS`] slots — the
+//! default `reader_cap`): as long as a set stays within the inline
+//! capacity, [`ShadowMemory::on_read`] and [`ShadowMemory::on_write`]
+//! perform **no heap allocation** once the page is faulted in and the pool
+//! holds as many sets as the run keeps in use at once — in a steady state
+//! every set a read takes is one a write released. A `reader_cap` above
+//! the inline capacity spills that set to a heap vector (counted in
 //! [`ShadowStats::read_set_spills`]); the spill storage is retained across
-//! write-clears, so each cell pays for the spill at most once. Writes
-//! report their dependences through a caller-supplied callback instead of
-//! returning a `Vec`, so detection itself never allocates.
+//! write-clears and stays with the pooled set, so each set pays for the
+//! spill at most once. Writes report their dependences through a
+//! caller-supplied callback instead of returning a `Vec`, so detection
+//! itself never allocates.
 //!
 //! # Determinism rules
 //!
 //! Results are independent of the backing layout by construction — paging
-//! affects *where* a cell lives, never what it records. The rules that
-//! matter for replay parity are all per-cell:
+//! and pooling affect *where* a cell and its read set live, never what
+//! they record. The rules that matter for replay parity are all per-cell:
 //!
 //! * a read from an already-recorded pc replaces that entry (keeping the
 //!   later, more constraining timestamp), never growing the set;
@@ -119,17 +141,18 @@ pub struct ShadowStats {
     /// Times a read set outgrew [`INLINE_READERS`] and moved to a heap
     /// vector (possible only when `reader_cap` exceeds the inline
     /// capacity). Counts spill *events*, which bound — but can exceed —
-    /// the actual allocations: a cell that spills again after a
+    /// the actual allocations: a pooled set that spills again after a
     /// write-clear reuses its retained spill capacity.
     pub read_set_spills: u64,
 }
 
-/// The per-cell read set: an in-crate small-vector of accesses.
+/// A cell's read set, held in the [`ReadSetPool`]: an in-crate
+/// small-vector of accesses.
 ///
 /// Elements live in the inline buffer while `len <= INLINE_READERS` and in
 /// `spill` beyond that. A write-clear resets `len` (and `spill`) but keeps
-/// the spill vector's capacity, so a cell spills at most once per
-/// capacity level even under repeated fill/clear cycles.
+/// the spill vector's capacity, so a set spills at most once per capacity
+/// level even under repeated fill/clear cycles.
 struct ReadSet<T: Copy> {
     /// Total recorded reads; the storage invariant keys off this.
     len: u32,
@@ -154,11 +177,6 @@ impl<T: Copy> ReadSet<T> {
     #[inline]
     fn len(&self) -> usize {
         self.len as usize
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     #[inline]
@@ -232,26 +250,93 @@ impl<T: Copy + std::fmt::Debug> std::fmt::Debug for ReadSet<T> {
     }
 }
 
+/// Handle value of a cell with no read set in the pool.
+const NO_READS: u32 = u32::MAX;
+
 #[derive(Debug)]
 struct Cell<T: Copy> {
     last_write: Option<Access<T>>,
-    /// Distinct read sites since the last write (tiny in practice).
-    reads: ReadSet<T>,
+    /// Handle of this cell's read set in the shadow's [`ReadSetPool`], or
+    /// [`NO_READS`] while no read happened since the last write.
+    reads: u32,
 }
 
 impl<T: Copy> Cell<T> {
     fn new() -> Self {
         Cell {
             last_write: None,
-            reads: ReadSet::new(),
+            reads: NO_READS,
         }
     }
 
     /// Whether any access was ever recorded here. Once true, stays true: a
-    /// write pins `last_write`, and reads are only cleared *by* a write.
+    /// write pins `last_write`, and a read set is only released *by* a
+    /// write.
     #[inline]
     fn touched(&self) -> bool {
-        self.last_write.is_some() || !self.reads.is_empty()
+        self.last_write.is_some() || self.reads != NO_READS
+    }
+}
+
+/// Read sets per pool block.
+const POOL_BLOCK: usize = 64;
+
+/// The read sets of every cell read since its last write, out of line so
+/// the cells stay small (see the [module docs](self#read-set-pool)). Sets
+/// live in fixed blocks of [`POOL_BLOCK`] that never move once allocated,
+/// so growing the pool copies no set and leaves no freed buffer behind.
+#[derive(Debug)]
+struct ReadSetPool<T: Copy> {
+    blocks: Vec<Box<[ReadSet<T>; POOL_BLOCK]>>,
+    /// Sets handed out so far; the next fresh handle.
+    len: u32,
+    /// Handles of cleared sets, reused last-released first.
+    free: Vec<u32>,
+}
+
+impl<T: Copy> ReadSetPool<T> {
+    fn new() -> Self {
+        ReadSetPool {
+            blocks: Vec::new(),
+            len: 0,
+            free: Vec::new(),
+        }
+    }
+
+    /// The handle of an empty set for a cell's first read since its last
+    /// write: the last one released, else a fresh one.
+    #[inline]
+    fn take(&mut self) -> u32 {
+        if let Some(handle) = self.free.pop() {
+            return handle;
+        }
+        if (self.len as usize).is_multiple_of(POOL_BLOCK) {
+            self.grow();
+        }
+        self.len += 1;
+        self.len - 1
+    }
+
+    /// Allocates the next block of sets. No handle it covers may reach
+    /// [`NO_READS`].
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        assert!(
+            self.len as usize + POOL_BLOCK <= NO_READS as usize,
+            "read-set pool exhausted its u32 handles"
+        );
+        let block: Box<[ReadSet<T>]> = (0..POOL_BLOCK).map(|_| ReadSet::new()).collect();
+        match block.try_into() {
+            Ok(block) => self.blocks.push(block),
+            Err(_) => unreachable!("a block holds POOL_BLOCK sets"),
+        }
+    }
+
+    #[inline]
+    fn get_mut(&mut self, handle: u32) -> &mut ReadSet<T> {
+        let h = handle as usize;
+        &mut self.blocks[h / POOL_BLOCK][h % POOL_BLOCK]
     }
 }
 
@@ -261,6 +346,8 @@ impl<T: Copy> Cell<T> {
 pub struct ShadowMemory<T: Copy = NodeRef> {
     /// Page table: `pages[addr >> PAGE_SHIFT]`, faulted in on first touch.
     pages: Vec<Option<Box<[Cell<T>]>>>,
+    /// The read sets the cells' handles point into.
+    pool: ReadSetPool<T>,
     reader_cap: usize,
     /// Addresses with shadow state (touched cells), maintained
     /// incrementally so [`ShadowMemory::len`] is O(1).
@@ -293,6 +380,7 @@ impl<T: Copy> ShadowMemory<T> {
         pages.resize_with(spine, || None);
         ShadowMemory {
             pages,
+            pool: ReadSetPool::new(),
             reader_cap: reader_cap.max(1),
             occupied: 0,
             stats: ShadowStats::default(),
@@ -319,63 +407,64 @@ impl<T: Copy> ShadowMemory<T> {
     /// needed). Off the hot path: each page faults at most once.
     #[cold]
     #[inline(never)]
-    fn fault_in(&mut self, page: usize) {
-        if page >= self.pages.len() {
-            self.pages.resize_with(page + 1, || None);
+    fn fault_in(pages: &mut Vec<Option<Box<[Cell<T>]>>>, stats: &mut ShadowStats, page: usize) {
+        if page >= pages.len() {
+            pages.resize_with(page + 1, || None);
         }
-        let slot = &mut self.pages[page];
+        let slot = &mut pages[page];
         debug_assert!(slot.is_none(), "page {page} faulted twice");
         let mut cells = Vec::with_capacity(PAGE_WORDS);
         cells.resize_with(PAGE_WORDS, Cell::new);
         *slot = Some(cells.into_boxed_slice());
-        self.stats.pages_allocated += 1;
+        stats.pages_allocated += 1;
     }
 
-    /// The cell for `addr`, faulting its page in if needed.
+    /// The cell for `addr`, faulting its page in if needed. Borrows only
+    /// the page table and the stats, so the caller can use the pool while
+    /// it holds the cell.
     #[inline]
-    fn cell(&mut self, addr: u32) -> &mut Cell<T> {
+    fn cell<'a>(
+        pages: &'a mut Vec<Option<Box<[Cell<T>]>>>,
+        stats: &mut ShadowStats,
+        addr: u32,
+    ) -> &'a mut Cell<T> {
         let page = (addr >> PAGE_SHIFT) as usize;
-        if page >= self.pages.len() || self.pages[page].is_none() {
-            self.fault_in(page);
+        if page >= pages.len() || pages[page].is_none() {
+            Self::fault_in(pages, stats, page);
         }
         // Both indexings are in bounds: `fault_in` grew the table and
         // populated the page.
-        let cells = self.pages[page].as_mut().expect("page faulted in");
+        let cells = pages[page].as_mut().expect("page faulted in");
         &mut cells[(addr & PAGE_MASK) as usize]
     }
 
     /// Records a read; returns the RAW dependence it completes, if any.
     ///
     /// Allocation-free while the cell's read set stays within
-    /// [`INLINE_READERS`] and the page is already faulted in.
+    /// [`INLINE_READERS`], the page is already faulted in and the pool has
+    /// a free set (or the cell already holds one).
     pub fn on_read(&mut self, addr: u32, access: Access<T>) -> Option<DetectedDep<T>> {
         let reader_cap = self.reader_cap;
         let mut dropped = false;
         let mut spilled = false;
-        let cell = self.cell(addr);
+        let cell = Self::cell(&mut self.pages, &mut self.stats, addr);
         let was_touched = cell.touched();
+        if cell.reads == NO_READS {
+            cell.reads = self.pool.take();
+        }
+        let reads = self.pool.get_mut(cell.reads);
         // Track the read for future WAR detection.
-        if let Some(existing) = cell
-            .reads
-            .as_mut_slice()
-            .iter_mut()
-            .find(|r| r.pc == access.pc)
-        {
+        if let Some(existing) = reads.as_mut_slice().iter_mut().find(|r| r.pc == access.pc) {
             // Same site read again: keep the later (more constraining) one.
             *existing = access;
-        } else if cell.reads.len() < reader_cap {
-            spilled = cell.reads.push(access);
+        } else if reads.len() < reader_cap {
+            spilled = reads.push(access);
         } else {
             // Replace the stalest entry; ties on the timestamp break by
             // lowest pc so sequential and sharded replay evict identically
             // (set order is an accident of insertion history).
             dropped = true;
-            if let Some(oldest) = cell
-                .reads
-                .as_mut_slice()
-                .iter_mut()
-                .min_by_key(|r| (r.t, r.pc))
-            {
+            if let Some(oldest) = reads.as_mut_slice().iter_mut().min_by_key(|r| (r.t, r.pc)) {
                 *oldest = access;
             }
         }
@@ -400,8 +489,8 @@ impl<T: Copy> ShadowMemory<T> {
     /// Records a write, reporting each dependence it completes through
     /// `emit`: the WAW edge with the previous write first (if any), then
     /// one WAR edge per recorded read since that write, in read-set order.
-    /// The read set is cleared and the write becomes the cell's
-    /// `last_write` regardless of what `emit` does.
+    /// The read set is cleared and returned to the pool, and the write
+    /// becomes the cell's `last_write`, regardless of what `emit` does.
     ///
     /// The callback form keeps the hot path allocation-free: dependences
     /// stream straight into the caller's profile with no intermediate
@@ -410,7 +499,7 @@ impl<T: Copy> ShadowMemory<T> {
     where
         F: FnMut(DepKind, DetectedDep<T>),
     {
-        let cell = self.cell(addr);
+        let cell = Self::cell(&mut self.pages, &mut self.stats, addr);
         let was_touched = cell.touched();
         if let Some(head) = cell.last_write {
             emit(
@@ -423,18 +512,25 @@ impl<T: Copy> ShadowMemory<T> {
                 },
             );
         }
-        for head in cell.reads.as_slice() {
-            emit(
-                DepKind::War,
-                DetectedDep {
-                    head: *head,
-                    tail_pc: access.pc,
-                    tail_t: access.t,
-                    addr,
-                },
-            );
+        let handle = std::mem::replace(&mut cell.reads, NO_READS);
+        if handle != NO_READS {
+            let reads = self.pool.get_mut(handle);
+            for head in reads.as_slice() {
+                emit(
+                    DepKind::War,
+                    DetectedDep {
+                        head: *head,
+                        tail_pc: access.pc,
+                        tail_t: access.t,
+                        addr,
+                    },
+                );
+            }
+            // Back to the pool, cleared, for the next cell read after a
+            // write.
+            reads.clear();
+            self.pool.free.push(handle);
         }
-        cell.reads.clear();
         cell.last_write = Some(access);
         if !was_touched {
             self.occupied += 1;
@@ -669,5 +765,66 @@ mod tests {
         let mut kinds = Vec::new();
         s.on_write(1, acc(2, 9), &mut |kind, _| kinds.push(kind));
         assert_eq!(kinds, [DepKind::Waw, DepKind::War, DepKind::War]);
+    }
+
+    #[test]
+    fn a_recycled_read_set_forgets_its_previous_owner() {
+        // Word 1 spills past the inline capacity, then its write hands the
+        // set back; word 2 takes the same set and must see only its own
+        // reader, from the inline buffer again.
+        let cap = INLINE_READERS + 4;
+        let mut s = ShadowMemory::new(cap);
+        for i in 0..cap as u32 {
+            s.on_read(1, acc(10 + i, i as Time));
+        }
+        let (_, wars) = write_collect(&mut s, 1, acc(2, 50));
+        assert_eq!(wars.len(), cap);
+        assert_eq!(s.pool.free, [0], "word 1's set is back on the free list");
+        s.on_read(2, acc(99, 60));
+        assert_eq!(s.pool.len, 1, "word 2 reused word 1's set");
+        assert!(s.pool.free.is_empty());
+        let (_, wars) = write_collect(&mut s, 2, acc(3, 70));
+        let heads: Vec<_> = wars.iter().map(|w| (w.head.pc, w.head.t)).collect();
+        assert_eq!(heads, [(Pc(99), 60)], "none of word 1's readers leak");
+        assert_eq!(s.stats().read_set_spills, 1);
+    }
+
+    #[test]
+    fn the_free_list_recycles_one_set_across_many_words() {
+        let mut s = ShadowMemory::new(8);
+        for addr in 0..10_000u32 {
+            let t = 2 * addr as Time;
+            s.on_read(addr, acc(10, t));
+            let (_, wars) = write_collect(&mut s, addr, acc(2, t + 1));
+            assert_eq!(wars.len(), 1);
+        }
+        assert_eq!(s.len(), 10_000);
+        assert_eq!(s.pool.len, 1, "one set served every word in turn");
+        assert_eq!(s.pool.blocks.len(), 1);
+        assert_eq!(s.pool.free, [0]);
+    }
+
+    #[test]
+    fn words_read_and_never_written_keep_their_sets() {
+        // The worst case: every read-only word holds a pooled set, so the
+        // pool grows block by block with the number of such words.
+        let mut s = ShadowMemory::new(8);
+        let words = 3 * POOL_BLOCK as u32 + 1;
+        for addr in 0..words {
+            s.on_read(addr, acc(10, addr as Time));
+        }
+        assert_eq!(s.pool.len, words);
+        assert_eq!(s.pool.blocks.len(), 4);
+        assert!(s.pool.free.is_empty());
+    }
+
+    #[test]
+    fn cells_stay_small() {
+        // The last write plus a `u32` read-set handle; the read set itself
+        // lives in the pool. A page of the profiler's cells is 160 KiB.
+        assert_eq!(std::mem::size_of::<Cell<NodeRef>>(), 40);
+        assert_eq!(std::mem::size_of::<Cell<()>>(), 32);
+        assert_eq!(std::mem::size_of::<Cell<Option<u32>>>(), 32);
+        assert_eq!(PAGE_WORDS * std::mem::size_of::<Cell<NodeRef>>(), 160 << 10);
     }
 }

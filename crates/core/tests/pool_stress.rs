@@ -136,7 +136,8 @@ fn pool_capacity_monotonicity_for_hot_constructs() {
 /// Frame-memory tracing (off by default) demonstrably changes only
 /// frame-address dependences: with it on, extra edges appear on stack
 /// slots; global-variable edges are identical. This validates the
-/// futures-model filtering decision documented in DESIGN.md.
+/// futures-model filtering decision documented in the
+/// `alchemist_core::profiler` module docs.
 #[test]
 fn frame_tracing_adds_only_frame_edges() {
     let src = "

@@ -51,6 +51,9 @@ pub struct Derived {
     pub send_wait_ns: u64,
     /// Sum of worker-side channel wait across shards.
     pub recv_wait_ns: u64,
+    /// Peak resident set size of the process when the report was built, in
+    /// KiB (`VmHWM` in `/proc/self/status`); 0 where it cannot be read.
+    pub peak_rss_kib: u64,
 }
 
 /// A complete snapshot of a [`Metrics`] sink.
@@ -171,6 +174,7 @@ impl MetricsReport {
             bytes_per_event,
             send_wait_ns: shards.iter().map(|s| s.send_wait_ns).sum(),
             recv_wait_ns: shards.iter().map(|s| s.recv_wait_ns).sum(),
+            peak_rss_kib: peak_rss_kib(),
         };
 
         MetricsReport {
@@ -274,8 +278,12 @@ impl MetricsReport {
             fmt_f64(self.derived.bytes_per_event)
         ));
         out.push_str(&format!(
-            "    \"send_wait_ns\": {},\n    \"recv_wait_ns\": {}\n",
+            "    \"send_wait_ns\": {},\n    \"recv_wait_ns\": {},\n",
             self.derived.send_wait_ns, self.derived.recv_wait_ns
+        ));
+        out.push_str(&format!(
+            "    \"peak_rss_kib\": {}\n",
+            self.derived.peak_rss_kib
         ));
         out.push_str("  }\n}\n");
         out
@@ -369,6 +377,11 @@ impl MetricsReport {
             bytes_per_event: d.field("bytes_per_event")?.as_f64("bytes_per_event")?,
             send_wait_ns: d.field("send_wait_ns")?.as_u64("send_wait_ns")?,
             recv_wait_ns: d.field("recv_wait_ns")?.as_u64("recv_wait_ns")?,
+            // Added to schema v1 later: reports written before it parse as 0.
+            peak_rss_kib: match d.field("peak_rss_kib") {
+                Ok(v) => v.as_u64("peak_rss_kib")?,
+                Err(_) => 0,
+            },
         };
         Ok(MetricsReport {
             schema_version,
@@ -491,8 +504,31 @@ impl MetricsReport {
             fmt_ns(self.derived.send_wait_ns),
             fmt_ns(self.derived.recv_wait_ns)
         ));
+        if self.derived.peak_rss_kib > 0 {
+            out.push_str(&format!(
+                "  peak RSS: {} KiB ({:.1} MiB)\n",
+                self.derived.peak_rss_kib,
+                self.derived.peak_rss_kib as f64 / 1024.0
+            ));
+        }
         out
     }
+}
+
+/// This process's peak resident set size in KiB: the `VmHWM` line of
+/// `/proc/self/status`, or 0 where that file is unreadable (non-Linux
+/// hosts) or lacks the line.
+fn peak_rss_kib() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| parse_vm_hwm(&status))
+        .unwrap_or(0)
+}
+
+/// The `VmHWM:` value of a `/proc/<pid>/status` text, in KiB.
+fn parse_vm_hwm(status: &str) -> Option<u64> {
+    let value = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    value.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// Median bucket range like `[2.0us, 4.1us)` from log2 bucket counts.
@@ -873,12 +909,30 @@ mod tests {
 
     #[test]
     fn json_round_trip_is_lossless() {
-        let report = sample_metrics().report("replay");
+        let mut report = sample_metrics().report("replay");
+        report.derived.peak_rss_kib = 123_456;
         let json = report.to_json();
         let parsed = MetricsReport::from_json(&json).expect("parse back");
         assert_eq!(parsed, report);
         // And the re-emitted JSON is byte-identical.
         assert_eq!(parsed.to_json(), json);
+        // `peak_rss_kib` joined schema 1 late: a report without it parses.
+        let old = json.replace(",\n    \"peak_rss_kib\": 123456", "");
+        assert_ne!(old, json);
+        let parsed = MetricsReport::from_json(&old).expect("parse older report");
+        assert_eq!(parsed.derived.peak_rss_kib, 0);
+    }
+
+    #[test]
+    fn vm_hwm_is_parsed_from_proc_status() {
+        let status =
+            "Name:\talchemist\nVmPeak:\t  20000 kB\nVmHWM:\t    5120 kB\nVmRSS:\t 4000 kB\n";
+        assert_eq!(parse_vm_hwm(status), Some(5120));
+        assert_eq!(parse_vm_hwm("Name:\tx\n"), None);
+        assert_eq!(parse_vm_hwm("VmHWM:\tlots\n"), None);
+        if cfg!(target_os = "linux") {
+            assert!(peak_rss_kib() > 0, "a running process has a resident set");
+        }
     }
 
     #[test]
@@ -905,12 +959,15 @@ mod tests {
 
     #[test]
     fn text_render_mentions_key_series() {
-        let text = sample_metrics().report("replay").render_text();
+        let mut report = sample_metrics().report("replay");
+        report.derived.peak_rss_kib = 123_456;
+        let text = report.render_text();
         assert!(text.contains("vm.events"));
         assert!(text.contains("shard_worker[0]"));
         assert!(text.contains("shard imbalance"));
         assert!(text.contains("tid 0: 12 quanta"));
         assert!(text.contains("channel wait"));
+        assert!(text.contains("peak RSS: 123456 KiB (120.6 MiB)"));
     }
 
     #[test]

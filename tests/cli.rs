@@ -1062,19 +1062,28 @@ fn workloads_json_reports_profile_bytes() {
 
 /// Runs the CLI with a stdout pipe that the reader closes after reading
 /// `keep` bytes (`alchemist ... | head -c keep`); returns the exit code
-/// and stderr.
+/// and stderr. With `keep == 0` the read end is closed before the child
+/// starts, so its first write fails however the two are scheduled (closing
+/// it after `spawn` let a fast child finish into the pipe buffer first).
 fn run_into_closed_pipe(args: &[&std::ffi::OsStr], keep: usize) -> (Option<i32>, String) {
     use std::io::Read as _;
-    let mut child = bin()
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    let reader = if keep == 0 {
+        drop(reader);
+        None
+    } else {
+        Some(reader)
+    };
+    let child = bin()
         .args(args)
-        .stdout(std::process::Stdio::piped())
+        .stdout(writer)
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("spawns");
-    let mut stdout = child.stdout.take().expect("piped stdout");
-    let mut head = vec![0u8; keep];
-    stdout.read_exact(&mut head).expect("first bytes");
-    drop(stdout);
+    if let Some(mut reader) = reader {
+        let mut head = vec![0u8; keep];
+        reader.read_exact(&mut head).expect("first bytes");
+    }
     let out = child.wait_with_output().expect("waits");
     (
         out.status.code(),

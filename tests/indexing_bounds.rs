@@ -1,4 +1,5 @@
-//! Regression guards for the generalized predicate rule (DESIGN.md §3.4):
+//! Regression guards for the generalized predicate rule (rules 3/4 in the
+//! `alchemist_core::index` module docs):
 //! control shapes whose construct regions extend past loop iterations —
 //! compound loop conditions, `if (c) break` bodies — must not grow the
 //! indexing stack with the iteration count.

@@ -1,17 +1,21 @@
 //! Property tests validating the online profiler against the brute-force
-//! oracle (DESIGN.md section 7):
+//! oracle (`alchemist_core::oracle`):
 //!
 //! * with a generous pool and reader cap, the online profiler must produce
 //!   exactly the oracle's profile (durations, instance counts, every edge's
 //!   min distance and exercise count);
 //! * with a tiny pool, the online profile must be a *subset*: no invented
-//!   edges, no distances smaller than the oracle's, durations untouched.
+//!   edges, no distances smaller than the oracle's, durations untouched;
+//! * on every bundled workload, sequential and threaded, the online
+//!   profile equals the oracle's under both the generous and the default
+//!   configuration.
 
 mod common;
 
 use alchemist_core::oracle::oracle_profile;
 use alchemist_core::{AlchemistProfiler, DepProfile, ProfileConfig};
 use alchemist_vm::{compile_source, ExecConfig, Module, RecordingSink};
+use alchemist_workloads::Scale;
 use common::{gen_program, GenConfig};
 use proptest::prelude::*;
 
@@ -243,5 +247,35 @@ fn handwritten_corpus_matches_oracle() {
         let (_m, oracle, online) =
             run_both(src, big_pool()).unwrap_or_else(|| panic!("corpus #{i} failed"));
         assert_profiles_equal(&oracle, &online);
+    }
+}
+
+/// The bundled workloads (the paper's eight and the three threaded ones)
+/// at `Scale::Small`, against the oracle: far longer event streams than the
+/// generated programs above, and real thread interleavings. None of them
+/// overflows the default reader cap or construct pool, so the default
+/// configuration must match the oracle exactly too.
+#[test]
+fn bundled_workloads_match_oracle() {
+    for w in alchemist_workloads::all() {
+        let module = w.module();
+        let exec_cfg = w.exec_config(Scale::Small);
+        let mut rec = RecordingSink::default();
+        let outcome = alchemist_vm::run(&module, &exec_cfg, &mut rec)
+            .unwrap_or_else(|e| panic!("{} trapped: {e}", w.name));
+        let oracle = oracle_profile(&module, &rec.events, outcome.steps);
+        for (label, config) in [
+            ("big pool", big_pool()),
+            ("default", ProfileConfig::default()),
+        ] {
+            let mut prof = AlchemistProfiler::new(&module, config);
+            let steps = alchemist_vm::run(&module, &exec_cfg, &mut prof)
+                .unwrap_or_else(|e| panic!("{} trapped: {e}", w.name))
+                .steps;
+            assert_eq!(outcome.steps, steps, "{}: determinism", w.name);
+            let online = prof.into_profile(steps);
+            assert_profiles_equal(&oracle, &online);
+            assert!(oracle == online, "{} ({label}): online != oracle", w.name);
+        }
     }
 }

@@ -2,7 +2,8 @@
 //! evaluation must hold on the reproduced workloads.
 //!
 //! These are the cheap (Tiny/Small scale) versions of the claims the bench
-//! harness reports at full scale; see EXPERIMENTS.md for the mapping.
+//! harness reports at full scale; `alchemist_bench::experiments` has one
+//! function per table and figure.
 
 use alchemist::prelude::*;
 use alchemist::workloads::{self, Scale};

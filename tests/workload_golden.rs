@@ -2,7 +2,7 @@
 //! so their Tiny-scale instruction counts, exit values and printed output
 //! are pinned exactly. Any change to a workload program, the input
 //! generators, the compiler or the VM that shifts these values must be
-//! deliberate (and EXPERIMENTS.md re-measured).
+//! deliberate (and the `alchemist-bench` tables re-run).
 
 use alchemist::workloads::{self, Scale};
 
