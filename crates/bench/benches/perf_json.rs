@@ -1,10 +1,11 @@
 //! Machine-readable perf harness: measures ns/event for the profiling hot
 //! paths over every bundled workload and writes the results as JSON.
 //!
-//! This is the driver behind `BENCH_9.json` (the repo's perf trajectory):
+//! This is the driver behind the `BENCH_*.json` files (the repo's perf
+//! trajectory; `BENCH_15.json` is the latest):
 //!
 //! ```text
-//! cargo bench -p alchemist-bench --bench perf_json -- --out BENCH_9.json
+//! cargo bench -p alchemist-bench --bench perf_json -- --out BENCH_15.json
 //! ```
 //!
 //! Paths measured per workload at `Scale::Tiny` (the base size):
@@ -14,16 +15,22 @@
 //! * `live_profile_metrics` — the same path with an `obs::Metrics` handle
 //!   attached to the interpreter (the `--metrics` configuration); the
 //!   harness asserts the aggregate overhead stays under 5% ns/event;
+//! * `execute` — run the interpreter into a `NullSink`, no analysis;
+//! * `decode` — decode the recorded trace into a `NullSink`
+//!   (`replay_batched_into`), no analysis. Recording pays off only while
+//!   this row stays below `execute`: otherwise re-running the program is
+//!   cheaper than replaying its trace. The rows record the ordering; no
+//!   gate checks it, since a wall-clock ordering depends on the host;
 //! * `replay_profile_batched` — sequential batched replay of a recorded
 //!   trace into the profiler;
 //! * `replay_profile_batched_par4` — the full `replay --jobs 4` pipeline
 //!   (`replay_pipelined`: three decode workers feeding one profiler in
 //!   trace order).
 //!
-//! The two replay paths are then re-measured at `Scale::Huge` (the
+//! The last four paths are then re-measured at `Scale::Huge` (the
 //! tens-of-millions-of-events regime where per-event costs dominate
 //! setup and hand-off — the size parallel replay is for). In quick mode
-//! only ogg and bzip2 run the scaled pair; a full run scales the whole
+//! only ogg and bzip2 run the scaled paths; a full run scales the whole
 //! suite. On a machine with 2+ CPUs the harness **asserts** that par4
 //! ns/event does not exceed sequential ns/event on ogg and bzip2 at the
 //! scaled size; on a single-CPU machine the parallel pipeline cannot win
@@ -46,7 +53,7 @@
 use alchemist_core::{AlchemistProfiler, ProfileConfig};
 use alchemist_obs::{Counter, Metrics};
 use alchemist_trace::{replay_pipelined, ReplayOptions, TraceReader, TraceWriter};
-use alchemist_vm::DEFAULT_BATCH_EVENTS;
+use alchemist_vm::{NullSink, DEFAULT_BATCH_EVENTS};
 use alchemist_workloads::Scale;
 use std::io::Write as _;
 use std::time::Instant;
@@ -95,9 +102,10 @@ fn record(w: &alchemist_workloads::Workload, scale: Scale) -> (Vec<u8>, u64, u64
     (bytes, stats.events, outcome.steps)
 }
 
-/// Measures the two replay paths (sequential batched, pipelined `--jobs 4`)
-/// over `bytes`; pushes one row each and returns their `(seq, par)`
-/// ns/event for the scaled-size gate.
+/// Measures execution alone, decode alone and the two replay paths
+/// (sequential batched, pipelined `--jobs 4`) over `bytes`; pushes one row
+/// each and returns the replay paths' `(seq, par)` ns/event for the
+/// scaled-size gate.
 fn measure_replay(
     w: &alchemist_workloads::Workload,
     scale: Scale,
@@ -107,6 +115,30 @@ fn measure_replay(
     rows: &mut Vec<Row>,
 ) -> (f64, f64) {
     let module = w.module();
+    let cfg = w.exec_config(scale);
+    let mut row = |path, ns: f64| {
+        rows.push(Row {
+            workload: w.name,
+            path,
+            scale,
+            events,
+            ns_per_event: ns / events as f64,
+        })
+    };
+    row(
+        "execute",
+        best_of(iters, || {
+            alchemist_vm::run(&module, &cfg, &mut NullSink).expect("workload runs");
+        }),
+    );
+    row(
+        "decode",
+        best_of(iters, || {
+            let mut reader = TraceReader::new(bytes).expect("header");
+            let summary = reader.replay_batched_into(&mut NullSink, DEFAULT_BATCH_EVENTS);
+            assert_eq!(summary.expect("decode").events, events);
+        }),
+    );
     let seq_ns = best_of(iters, || {
         let mut reader = TraceReader::new(bytes).expect("header");
         let mut prof = AlchemistProfiler::new(&module, ProfileConfig::default());
@@ -115,13 +147,7 @@ fn measure_replay(
             .expect("replay");
         let _ = std::hint::black_box(prof.into_profile(summary.total_steps));
     });
-    rows.push(Row {
-        workload: w.name,
-        path: "replay_profile_batched",
-        scale,
-        events,
-        ns_per_event: seq_ns / events as f64,
-    });
+    row("replay_profile_batched", seq_ns);
 
     let par_ns = best_of(iters, || {
         let reader = TraceReader::new(bytes).expect("header");
@@ -133,13 +159,7 @@ fn measure_replay(
         let summary = replay_pipelined(reader, &mut prof, options).expect("replay");
         let _ = std::hint::black_box(prof.into_profile(summary.total_steps));
     });
-    rows.push(Row {
-        workload: w.name,
-        path: "replay_profile_batched_par4",
-        scale,
-        events,
-        ns_per_event: par_ns / events as f64,
-    });
+    row("replay_profile_batched_par4", par_ns);
     (seq_ns / events as f64, par_ns / events as f64)
 }
 
@@ -147,7 +167,7 @@ fn measure_replay(
 /// `(live_profile_ns, live_profile_metrics_ns)`, summed over workloads.
 type OverheadTotals = (f64, f64);
 
-/// The base-size (Tiny) measurement: all four paths.
+/// The base-size (Tiny) measurement: all six paths.
 fn measure_workload(
     w: &alchemist_workloads::Workload,
     iters: usize,

@@ -17,9 +17,9 @@
 //! * `replay_profile` vs `replay_profile_batched` — event-at-a-time
 //!   dispatch vs `replay_batched_into` feeding the profiler's `on_batch`;
 //! * `replay_profile_par{2,4}` vs `replay_profile_batched_par{2,4}` — the
-//!   `--jobs N` pipeline: per-event shard filtering (every worker scans
-//!   the whole stream) vs `decode_batches_par` + single-pass batch
-//!   partitioning (`profile_batches_par`).
+//!   library's address-sharded replay: `decode_batches_par` flattened to
+//!   events for per-event shard filtering (every worker scans the whole
+//!   stream) vs single-pass batch partitioning (`profile_batches_par`).
 //!
 //! The batched paths are verified at setup to produce byte-identical
 //! `.alct` bytes and an equal `DepProfile`, so the timings compare equal
@@ -36,10 +36,8 @@ use alchemist_core::{
     profile_batches_par, profile_events_par, profile_module, shard_event_counts, AlchemistProfiler,
     ProfileConfig,
 };
-use alchemist_trace::{
-    decode_batches_par, decode_events_par, MultiSink, TraceReader, TraceStats, TraceWriter,
-};
-use alchemist_vm::{CountingSink, ExecConfig, TraceSink, DEFAULT_BATCH_EVENTS};
+use alchemist_trace::{decode_batches_par, MultiSink, TraceReader, TraceStats, TraceWriter};
+use alchemist_vm::{CountingSink, Event, EventBatch, ExecConfig, TraceSink, DEFAULT_BATCH_EVENTS};
 use alchemist_workloads::Scale;
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -86,10 +84,10 @@ fn bench_workload(c: &mut Criterion, name: &'static str) {
         stats.bytes_per_event(),
         stats.chunks
     );
-    let (events, summary) =
-        decode_events_par(TraceReader::new(bytes.as_slice()).expect("header"), 4).expect("decode");
-    let (batches, _) = decode_batches_par(TraceReader::new(bytes.as_slice()).expect("header"), 4)
-        .expect("batch decode");
+    let (batches, summary) =
+        decode_batches_par(TraceReader::new(bytes.as_slice()).expect("header"), 4)
+            .expect("batch decode");
+    let events: Vec<Event> = batches.iter().flat_map(EventBatch::iter).collect();
     {
         let (seq, ..) = profile_module(&module, &cfg, ProfileConfig::default()).expect("runs");
         let (bat, ..) = profile_batches_par(
@@ -159,7 +157,8 @@ fn bench_workload(c: &mut Criterion, name: &'static str) {
         group.bench_function(&format!("replay_profile_par{jobs}"), |b| {
             b.iter(|| {
                 let reader = TraceReader::new(bytes.as_slice()).expect("header");
-                let (events, summary) = decode_events_par(reader, jobs).expect("decode");
+                let (batches, summary) = decode_batches_par(reader, jobs).expect("decode");
+                let events: Vec<Event> = batches.iter().flat_map(EventBatch::iter).collect();
                 let (profile, _, _) = profile_events_par(
                     &module,
                     &events,

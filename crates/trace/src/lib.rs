@@ -87,8 +87,7 @@ pub use alcp::{AlcpError, ProfileArtifact, ALCP_MAGIC, ALCP_VERSION};
 pub use atomic::{write_atomic, AtomicFile};
 pub use error::{TraceError, WorkerPanic};
 pub use par::{
-    decode_batches_par, decode_batches_par_recover, decode_batches_par_with, decode_chunk,
-    decode_chunk_into, decode_events_par,
+    decode_batches_par, decode_batches_par_recover, decode_batches_par_with, decode_chunk_into,
 };
 pub use pipeline::{replay_pipelined, ReplayOptions, REPLAY_WINDOW};
 pub use reader::{ChunkInfo, RawChunk, RecoveryReport, ReplaySummary, TraceReader};

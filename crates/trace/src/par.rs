@@ -3,84 +3,41 @@
 //! `.alct` chunks are self-contained — each carries its own event count and
 //! reseeds the delta codec at its `t_first` — so after the cheap sequential
 //! scan that slices the stream into [`RawChunk`]s, every payload decodes
-//! independently. [`decode_events_par`] fans the chunks out to scoped
+//! independently. [`decode_batches_par`] fans the chunks out to scoped
 //! worker threads (work-stealing over an atomic cursor, so a few oversized
-//! chunks cannot serialize the pool) and reassembles the event vector in
-//! trace order.
+//! chunks cannot serialize the pool) and returns one [`EventBatch`] per
+//! chunk in trace order.
 //!
-//! Error semantics match the sequential reader as closely as a batch API
-//! can: if several chunks are corrupt, the error reported is the one the
-//! sequential decoder would have hit first (lowest chunk index), and no
-//! events are returned.
+//! Errors match the sequential reader: the error reported is the one it
+//! would have hit first, a payload error in an earlier chunk before a
+//! structural one in a later chunk, and no events are returned.
 
 use crate::error::TraceError;
-use crate::format::{self, CodecState};
+use crate::format;
 use crate::reader::{RawChunk, RecoveryReport, ReplaySummary, TraceReader};
 use alchemist_obs::{span_opt, Counter, Hist, Metrics, Stage};
-use alchemist_vm::{Event, EventBatch, Tid};
+use alchemist_vm::EventBatch;
 use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Decodes one raw chunk into its events.
+/// Decodes one raw chunk into `batch` (cleared first) with
+/// [`format::decode_chunk`].
 ///
 /// # Errors
 ///
-/// Any payload-level [`TraceError`] ([`TraceError::Truncated`] mid-event,
-/// [`TraceError::BadEventTag`], delta overflow, trailing bytes).
-pub fn decode_chunk(chunk: &RawChunk) -> Result<Vec<Event>, TraceError> {
-    let mut state = CodecState::new(chunk.t_first);
-    let mut pos = 0;
-    let tids = decode_chunk_tids(chunk, &mut pos)?;
-    let mut events = Vec::with_capacity(chunk.events as usize);
-    for i in 0..chunk.events {
-        let mut ev = format::decode_event(&mut state, &chunk.payload, &mut pos)?;
-        if let Some(tids) = &tids {
-            ev = ev.with_tid(Tid(tids[i as usize]));
-        }
-        events.push(ev);
-    }
-    if pos != chunk.payload.len() {
-        return Err(TraceError::Malformed("trailing bytes in chunk"));
-    }
-    Ok(events)
-}
-
-/// Consumes the v2 thread-id column at the head of `chunk.payload`, if the
-/// chunk's format version carries one.
-fn decode_chunk_tids(chunk: &RawChunk, pos: &mut usize) -> Result<Option<Vec<u32>>, TraceError> {
-    if chunk.version < format::VERSION_V2 {
-        return Ok(None);
-    }
-    let mut tids = Vec::new();
-    format::decode_tid_column(&chunk.payload, pos, chunk.events as usize, &mut tids)?;
-    Ok(Some(tids))
-}
-
-/// Decodes one raw chunk straight into `batch` (cleared first), without
-/// materializing a `Vec<Event>`.
-///
-/// # Errors
-///
-/// Same payload-level errors as [`decode_chunk`]; rows decoded before the
-/// error remain in `batch` and should be discarded by the caller.
+/// Any payload-level [`TraceError`]; rows decoded before the error remain
+/// in `batch` and should be discarded by the caller.
 pub fn decode_chunk_into(chunk: &RawChunk, batch: &mut EventBatch) -> Result<(), TraceError> {
     batch.clear();
-    let mut state = CodecState::new(chunk.t_first);
-    let mut pos = 0;
-    let tids = decode_chunk_tids(chunk, &mut pos)?;
-    for i in 0..chunk.events {
-        let mut ev = format::decode_event(&mut state, &chunk.payload, &mut pos)?;
-        if let Some(tids) = &tids {
-            ev = ev.with_tid(Tid(tids[i as usize]));
-        }
-        batch.push_event(&ev);
-    }
-    if pos != chunk.payload.len() {
-        return Err(TraceError::Malformed("trailing bytes in chunk"));
-    }
-    Ok(())
+    format::decode_chunk(
+        chunk.version,
+        chunk.t_first,
+        chunk.events,
+        &chunk.payload,
+        batch,
+    )
 }
 
 /// Runs `decode` over every chunk on `jobs` worker threads (work-stealing
@@ -150,22 +107,47 @@ where
         .collect()
 }
 
-/// Decodes a whole trace into an event vector using `jobs` worker threads.
+/// Decodes every chunk into its own batch on `jobs` threads, in trace
+/// order. With `metrics`, each chunk's decode latency goes into
+/// [`Hist::DecodeChunkNs`] along with the chunk and byte counters.
+fn decode_batches(
+    chunks: &[RawChunk],
+    jobs: usize,
+    metrics: Option<&Metrics>,
+) -> Vec<Result<EventBatch, TraceError>> {
+    let jobs = jobs.max(1).min(chunks.len().max(1));
+    decode_chunks_ordered(chunks, jobs, |chunk| {
+        let t0 = metrics.map(|_| Instant::now());
+        let mut batch = EventBatch::new();
+        decode_chunk_into(chunk, &mut batch)?;
+        if let (Some(m), Some(t0)) = (metrics, t0) {
+            m.observe_ns(Hist::DecodeChunkNs, t0.elapsed().as_nanos() as u64);
+            m.incr(Counter::TraceChunksDecoded);
+            m.add(Counter::TraceBytesDecoded, chunk.payload.len() as u64);
+        }
+        Ok(batch)
+    })
+}
+
+/// Decodes a whole trace chunk-parallel into one [`EventBatch`] per chunk.
 ///
-/// Equivalent to collecting the reader's event iterator — same events, same
-/// order, same `total_steps` — but the payload decoding runs chunk-parallel.
-/// `jobs <= 1` (or a single-chunk trace) decodes inline.
+/// Concatenating the batches' rows yields exactly the sequential reader's
+/// event stream, with the same `total_steps`, but the payloads decode on
+/// `jobs` worker threads (`jobs <= 1`, or a single-chunk trace, decodes
+/// inline). Batch-aware consumers (`alchemist_core::profile_batches`,
+/// fan-outs) then process them without ever materializing a
+/// `Vec<Event>`; [`EventBatch::iter`] yields the events of a batch.
 ///
 /// # Errors
 ///
-/// Structural errors from the chunk scan, or the first (in trace order)
-/// payload decode error.
+/// The first error in trace order, as the sequential reader reports it
+/// (see the [module docs](self)).
 ///
 /// # Examples
 ///
 /// ```
-/// use alchemist_trace::{decode_events_par, TraceReader, TraceWriter};
-/// use alchemist_vm::{compile_source, run, ExecConfig, RecordingSink};
+/// use alchemist_trace::{decode_batches_par, TraceReader, TraceWriter};
+/// use alchemist_vm::{compile_source, run, Event, ExecConfig, RecordingSink};
 ///
 /// let src = "int g; int main() { int i; for (i = 0; i < 64; i++) g += i; return g; }";
 /// let module = compile_source(src)?;
@@ -177,42 +159,12 @@ where
 /// run(&module, &ExecConfig::default(), &mut live).unwrap();
 ///
 /// let reader = TraceReader::new(bytes.as_slice()).unwrap();
-/// let (events, summary) = decode_events_par(reader, 4).unwrap();
+/// let (batches, summary) = decode_batches_par(reader, 4).unwrap();
+/// let events: Vec<Event> = batches.iter().flat_map(|b| b.iter()).collect();
 /// assert_eq!(events, live.events);
 /// assert_eq!(summary.total_steps, out.steps);
 /// # Ok::<(), alchemist_lang::LangError>(())
 /// ```
-pub fn decode_events_par<R: Read>(
-    mut reader: TraceReader<R>,
-    jobs: usize,
-) -> Result<(Vec<Event>, ReplaySummary), TraceError> {
-    let (chunks, total_steps) = reader.read_raw_chunks()?;
-    let jobs = jobs.max(1).min(chunks.len().max(1));
-    let decoded = decode_chunks_ordered(&chunks, jobs, decode_chunk);
-    let mut events = Vec::with_capacity(chunks.iter().map(|c| c.events as usize).sum());
-    for chunk in decoded {
-        events.extend(chunk?);
-    }
-    let summary = ReplaySummary {
-        events: events.len() as u64,
-        total_steps,
-    };
-    Ok((events, summary))
-}
-
-/// Decodes a whole trace chunk-parallel into one [`EventBatch`] per chunk.
-///
-/// This is the bulk-pipeline twin of [`decode_events_par`]: the same
-/// events in the same order, but kept in struct-of-arrays batches that
-/// downstream batch-aware consumers
-/// (`alchemist_core::profile_batches_par`, shard partitioning, fan-outs)
-/// process without ever materializing a `Vec<Event>`. Concatenating the
-/// batches' rows yields exactly the sequential reader's event stream.
-///
-/// # Errors
-///
-/// Structural errors from the chunk scan, or the first (in trace order)
-/// payload decode error — matching [`decode_events_par`].
 pub fn decode_batches_par<R: Read>(
     reader: TraceReader<R>,
     jobs: usize,
@@ -236,26 +188,26 @@ pub fn decode_batches_par_with<R: Read>(
     metrics: Option<&Metrics>,
 ) -> Result<(Vec<EventBatch>, ReplaySummary), TraceError> {
     let _decode_span = span_opt(metrics, Stage::Decode);
-    let (chunks, total_steps) = reader.read_raw_chunks()?;
-    let jobs = jobs.max(1).min(chunks.len().max(1));
-    let decoded = decode_chunks_ordered(&chunks, jobs, |chunk| {
-        let t0 = metrics.map(|_| Instant::now());
-        let mut batch = EventBatch::with_capacity(chunk.events as usize);
-        decode_chunk_into(chunk, &mut batch)?;
-        if let (Some(m), Some(t0)) = (metrics, t0) {
-            m.observe_ns(Hist::DecodeChunkNs, t0.elapsed().as_nanos() as u64);
-            m.incr(Counter::TraceChunksDecoded);
-            m.add(Counter::TraceBytesDecoded, chunk.payload.len() as u64);
+    // Scan up to the first structural error, but report it only after the
+    // chunks before it have decoded: a payload error among them comes
+    // first in trace order.
+    let mut chunks = Vec::new();
+    let scanned = loop {
+        match reader.next_raw_chunk() {
+            Ok(Some(chunk)) => chunks.push(chunk),
+            Ok(None) => {
+                break reader
+                    .total_steps()
+                    .ok_or(TraceError::Truncated("missing footer"))
+            }
+            Err(e) => break Err(e),
         }
-        Ok(batch)
-    });
-    let mut batches = Vec::with_capacity(chunks.len());
-    let mut events = 0u64;
-    for batch in decoded {
-        let batch = batch?;
-        events += batch.len() as u64;
-        batches.push(batch);
-    }
+    };
+    let batches = decode_batches(&chunks, jobs, metrics)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    let total_steps = scanned?;
+    let events = batches.iter().map(|b| b.len() as u64).sum();
     if let Some(m) = metrics {
         m.add(Counter::TraceEventsDecoded, events);
     }
@@ -285,18 +237,7 @@ pub fn decode_batches_par_recover<R: Read>(
 ) -> (Vec<EventBatch>, ReplaySummary, RecoveryReport) {
     let _decode_span = span_opt(metrics, Stage::Decode);
     let (chunks, total_steps, mut report) = reader.read_raw_chunks_recover();
-    let jobs = jobs.max(1).min(chunks.len().max(1));
-    let decoded = decode_chunks_ordered(&chunks, jobs, |chunk| {
-        let t0 = metrics.map(|_| Instant::now());
-        let mut batch = EventBatch::with_capacity(chunk.events as usize);
-        decode_chunk_into(chunk, &mut batch)?;
-        if let (Some(m), Some(t0)) = (metrics, t0) {
-            m.observe_ns(Hist::DecodeChunkNs, t0.elapsed().as_nanos() as u64);
-            m.incr(Counter::TraceChunksDecoded);
-            m.add(Counter::TraceBytesDecoded, chunk.payload.len() as u64);
-        }
-        Ok(batch)
-    });
+    let decoded = decode_batches(&chunks, jobs, metrics);
     let mut batches = Vec::with_capacity(chunks.len());
     let mut events = 0u64;
     for (chunk, result) in chunks.iter().zip(decoded) {
@@ -330,7 +271,21 @@ pub(crate) mod tests {
     use super::*;
     use crate::writer::TraceWriter;
     use alchemist_lang::hir::FuncId;
-    use alchemist_vm::{Pc, RecordingSink, TraceSink};
+    use alchemist_vm::{Event, Pc, RecordingSink, Tid, TraceSink};
+
+    /// The events of a whole-trace decode, flattened.
+    fn decode_events(bytes: &[u8], jobs: usize) -> Result<Vec<Event>, TraceError> {
+        let (batches, _) = decode_batches_par(TraceReader::new(bytes)?, jobs)?;
+        Ok(batches.iter().flat_map(EventBatch::iter).collect())
+    }
+
+    /// What the sequential reader's iterator yields: the events, or its
+    /// error's text.
+    fn iterate(bytes: &[u8]) -> Result<Vec<Event>, String> {
+        TraceReader::new(bytes)
+            .and_then(|r| r.collect())
+            .map_err(|e| e.to_string())
+    }
 
     /// A trace of `rounds` enter/read/write/exit groups in chunks of
     /// `chunk_capacity` events, with the live stream it must replay to.
@@ -375,11 +330,10 @@ pub(crate) mod tests {
     #[test]
     fn parallel_decode_equals_sequential_iteration() {
         let (bytes, live) = sample_trace(7, 40);
+        let seq = iterate(&bytes).unwrap();
+        assert_eq!(seq, live.events);
         for jobs in [1usize, 2, 4, 9] {
-            let reader = TraceReader::new(bytes.as_slice()).unwrap();
-            let (events, summary) = decode_events_par(reader, jobs).unwrap();
-            assert_eq!(events, live.events, "jobs={jobs}");
-            assert_eq!(summary.events, live.events.len() as u64);
+            assert_eq!(decode_events(&bytes, jobs).unwrap(), seq, "jobs={jobs}");
         }
     }
 
@@ -430,23 +384,19 @@ pub(crate) mod tests {
 
     #[test]
     fn batch_decode_reports_corruption_like_event_decode() {
-        let (bytes, _) = sample_trace(7, 12);
-        for pos in (8..bytes.len()).step_by(13) {
+        // The v2 twin of the test below: the thread-id column is damaged
+        // too, and both decoders must agree on the events or the error.
+        let (bytes, _) =
+            sample_trace_with(TraceWriter::new_v2(Vec::new(), None).unwrap(), 7, 12, |i| {
+                Tid(i % 3)
+            });
+        for pos in (8..bytes.len()).step_by(5) {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0xff;
-            let ev = match TraceReader::new(corrupt.as_slice()) {
-                Ok(r) => decode_events_par(r, 4).map(|(e, _)| e),
-                Err(e) => Err(e),
-            };
-            let ba = match TraceReader::new(corrupt.as_slice()) {
-                Ok(r) => decode_batches_par(r, 4)
-                    .map(|(b, _)| b.iter().flat_map(|b| b.iter()).collect::<Vec<_>>()),
-                Err(e) => Err(e),
-            };
-            match (ev, ba) {
-                (Ok(e), Ok(b)) => assert_eq!(e, b, "flip at {pos}"),
-                (Err(_), Err(_)) => {}
-                (e, b) => panic!("flip at {pos}: decoders disagree: {e:?} vs {b:?}"),
+            let seq = iterate(&corrupt);
+            for jobs in [1usize, 4] {
+                let par = decode_events(&corrupt, jobs).map_err(|e| e.to_string());
+                assert_eq!(par, seq, "flip at {pos}, jobs={jobs}");
             }
         }
     }
@@ -462,7 +412,8 @@ pub(crate) mod tests {
         for jobs in [1usize, 2, 4] {
             let results = decode_chunks_ordered(&chunks, jobs, |chunk| {
                 assert_ne!(chunk.t_first, bad, "decoder bug");
-                decode_chunk(chunk)
+                let mut batch = EventBatch::new();
+                decode_chunk_into(chunk, &mut batch).map(|()| batch)
             });
             assert_eq!(results.len(), chunks.len(), "jobs={jobs}");
             for (i, result) in results.iter().enumerate() {
@@ -484,45 +435,54 @@ pub(crate) mod tests {
             .finish(5)
             .unwrap();
         let reader = TraceReader::new(bytes.as_slice()).unwrap();
-        let (events, summary) = decode_events_par(reader, 8).unwrap();
-        assert!(events.is_empty());
-        assert_eq!(summary.total_steps, 5);
+        let (batches, summary) = decode_batches_par(reader, 8).unwrap();
+        assert!(batches.is_empty());
+        assert_eq!((summary.events, summary.total_steps), (0, 5));
     }
 
     #[test]
     fn more_jobs_than_chunks_is_fine() {
         let (bytes, live) = sample_trace(1000, 5);
-        let reader = TraceReader::new(bytes.as_slice()).unwrap();
-        let (events, _) = decode_events_par(reader, 32).unwrap();
-        assert_eq!(events, live.events);
+        assert_eq!(decode_events(&bytes, 32).unwrap(), live.events);
     }
 
     #[test]
     fn corruption_behaves_like_the_sequential_reader() {
-        // Flip every byte position in turn: wherever the sequential decoder
-        // errors, the parallel decoder must error too (and where the flip
-        // happens to be benign, both must deliver the same events).
+        // Flip byte positions in turn: the parallel decoder must deliver
+        // the sequential reader's events where the flip is benign, and
+        // fail with its error text where it is not.
         let (bytes, _) = sample_trace(7, 12);
         for pos in (8..bytes.len()).step_by(13) {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0xff;
-            let seq: Result<Vec<Event>, TraceError> = match TraceReader::new(corrupt.as_slice()) {
-                Ok(r) => r.collect(),
-                Err(e) => Err(e),
-            };
-            let par = match TraceReader::new(corrupt.as_slice()) {
-                Ok(r) => decode_events_par(r, 4),
-                Err(e) => Err(e),
-            };
-            match seq {
-                Ok(events) => {
-                    let (par_events, _) = par.unwrap_or_else(|e| {
-                        panic!("flip at {pos}: sequential ok, parallel errored: {e}")
-                    });
-                    assert_eq!(par_events, events, "flip at {pos}");
-                }
-                Err(_) => assert!(par.is_err(), "flip at {pos}: parallel swallowed the error"),
-            }
+            let par = decode_events(&corrupt, 4).map_err(|e| e.to_string());
+            assert_eq!(par, iterate(&corrupt), "flip at {pos}");
+        }
+    }
+
+    #[test]
+    fn a_payload_error_wins_over_a_later_structural_error() {
+        // Chunk 1's first event loses its lead byte's tag (a payload
+        // error) and the trace loses its footer (a structural error two
+        // chunks later): the sequential reader stops at chunk 1.
+        let (bytes, _) = sample_trace(7, 12);
+        let chunks = TraceReader::new(bytes.as_slice())
+            .unwrap()
+            .read_raw_chunks()
+            .unwrap()
+            .0;
+        let needle = chunks[1].payload.as_slice();
+        let at = bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .unwrap();
+        let mut corrupt = bytes[..bytes.len() - 2].to_vec();
+        corrupt[at] |= 0x07;
+        let seq = iterate(&corrupt);
+        assert_eq!(seq, Err("undefined event tag 7".to_string()));
+        for jobs in [1usize, 4] {
+            let par = decode_events(&corrupt, jobs).map_err(|e| e.to_string());
+            assert_eq!(par, seq, "jobs={jobs}");
         }
     }
 
@@ -534,13 +494,11 @@ pub(crate) mod tests {
             });
         assert!(live.events.iter().any(|e| e.tid() != Tid::MAIN));
         for jobs in [1usize, 2, 4] {
-            let reader = TraceReader::new(bytes.as_slice()).unwrap();
-            let (events, _) = decode_events_par(reader, jobs).unwrap();
-            assert_eq!(events, live.events, "jobs={jobs}");
-            let reader = TraceReader::new(bytes.as_slice()).unwrap();
-            let (batches, _) = decode_batches_par(reader, jobs).unwrap();
-            let flat: Vec<Event> = batches.iter().flat_map(|b| b.iter()).collect();
-            assert_eq!(flat, live.events, "jobs={jobs}");
+            assert_eq!(
+                decode_events(&bytes, jobs).unwrap(),
+                live.events,
+                "jobs={jobs}"
+            );
         }
     }
 
@@ -655,11 +613,12 @@ pub(crate) mod tests {
             live.events.len() as u64
         );
         assert!(total_steps > 0);
-        let rejoined: Vec<Event> = chunks
-            .iter()
-            .map(|c| decode_chunk(c).unwrap())
-            .collect::<Vec<_>>()
-            .concat();
+        let mut batch = EventBatch::new();
+        let mut rejoined = Vec::new();
+        for chunk in &chunks {
+            decode_chunk_into(chunk, &mut batch).unwrap();
+            rejoined.extend(batch.iter());
+        }
         assert_eq!(rejoined, live.events);
     }
 }

@@ -10,8 +10,8 @@
 //! The sink sees exactly the sequential reader's event stream, needs no
 //! `Send` bound, and there is nothing to merge afterwards. When the next
 //! batch has not arrived yet, the calling thread decodes a chunk itself
-//! instead of waiting, so while decode is the bottleneck (it usually costs
-//! more per event than profiling) no thread sits idle.
+//! instead of waiting, so while decode is the bottleneck (on traces whose
+//! profiling is cheap) no thread sits idle.
 //!
 //! Memory is bounded by a fixed window of [`REPLAY_WINDOW`] batches, not by
 //! trace length. A worker takes a free batch *before* it claims the next
@@ -55,11 +55,10 @@ pub struct ReplayOptions {
     /// delivers one batch per trace chunk instead.
     pub batch_size: usize,
     /// Where to record counters, stage spans and the per-chunk decode
-    /// histogram, if anywhere. When `jobs <= 1` it is attached to the
-    /// reader ([`TraceReader::with_metrics`]). When `jobs >= 2` the
-    /// `decode` stage gets each thread's decode time (one call per worker
-    /// and one for the calling thread) and the `profile` stage gets the
-    /// calling thread's time inside the sink (one call).
+    /// histogram, if anywhere. The `profile` stage gets the calling
+    /// thread's time inside the sink (one call), the `decode` stage the
+    /// decode time: one call when `jobs <= 1` ([`TraceReader::with_metrics`]),
+    /// one per thread when `jobs >= 2`.
     pub metrics: Option<Arc<Metrics>>,
 }
 

@@ -1,16 +1,18 @@
 //! Replay: a [`TraceReader`] decodes a recorded trace back into the exact
-//! event stream the interpreter produced, either one event at a time
-//! (`Iterator`), all at once into a sink ([`TraceReader::replay_into`]), or
-//! windowed by time with whole-chunk skipping
-//! ([`TraceReader::replay_window`]).
+//! event stream the interpreter produced, one event at a time
+//! (`Iterator`), into a sink ([`TraceReader::replay_into`]), in blocks
+//! ([`TraceReader::read_batch`]) or windowed by time with whole-chunk
+//! skipping ([`TraceReader::replay_window`]), each over whole chunks
+//! decoded by [`format::decode_chunk`].
 
 use crate::error::TraceError;
-use crate::format::{self, CodecState};
+use crate::format;
 use crate::varint;
-use alchemist_obs::{Counter, Metrics};
-use alchemist_vm::{Event, EventBatch, Tid, TraceSink};
+use alchemist_obs::{Counter, Metrics, Stage};
+use alchemist_vm::{Event, EventBatch, TraceSink};
 use std::io::Read;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Chunk-level metadata, decodable without touching the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,11 +28,11 @@ pub struct ChunkInfo {
 }
 
 /// One event-bearing chunk with its payload still encoded: the unit of
-/// work for parallel decode ([`decode_events_par`](crate::decode_events_par)).
+/// work for parallel decode ([`decode_batches_par`](crate::decode_batches_par)
+/// and [`replay_pipelined`](crate::replay_pipelined)).
 ///
-/// The delta codec resets at every chunk boundary ([`CodecState::new`]
-/// seeded with `t_first`), so a `RawChunk` decodes independently of every
-/// other chunk.
+/// The delta codec resets at every chunk boundary (it is seeded with
+/// `t_first`), so a `RawChunk` decodes independently of every other chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawChunk {
     /// Events in the chunk.
@@ -154,13 +156,12 @@ pub struct TraceReader<R: Read> {
     source: Option<String>,
     /// Payload of the chunk being decoded.
     chunk: Vec<u8>,
-    pos: usize,
-    remaining: u64,
-    /// Thread id per event of the chunk being decoded (v2 only).
-    chunk_tids: Vec<u32>,
-    /// Next index into `chunk_tids`.
-    tid_idx: usize,
-    state: CodecState,
+    /// That chunk's decoded rows (those before `failed`, if it failed).
+    decoded: EventBatch,
+    /// Next row of `decoded` to hand out.
+    row: usize,
+    /// The error that ends the chunk, reported once `decoded` is used up.
+    failed: Option<TraceError>,
     total_steps: Option<u64>,
     finished: bool,
     events_read: u64,
@@ -221,11 +222,9 @@ impl<R: Read> TraceReader<R> {
             version,
             source,
             chunk: Vec::new(),
-            pos: 0,
-            remaining: 0,
-            chunk_tids: Vec::new(),
-            tid_idx: 0,
-            state: CodecState::new(0),
+            decoded: EventBatch::new(),
+            row: 0,
+            failed: None,
             total_steps: None,
             finished: false,
             events_read: 0,
@@ -237,7 +236,8 @@ impl<R: Read> TraceReader<R> {
     /// Attaches a metrics sink: streaming decode counts each loaded chunk
     /// and its payload bytes, and folds the total decoded event count in at
     /// the footer. Costs a couple of atomic adds per chunk, nothing per
-    /// event. (Chunk-parallel decode records through
+    /// event; [`TraceReader::replay_batched_into`] also records its
+    /// `decode` and `profile` spans. (Chunk-parallel decode records through
     /// [`decode_batches_par_with`](crate::decode_batches_par_with) instead.)
     pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Self {
         self.metrics = Some(metrics);
@@ -340,28 +340,46 @@ impl<R: Read> TraceReader<R> {
         Ok(steps)
     }
 
-    /// Loads the next event-bearing chunk. Returns `false` at end of trace.
-    fn load_next_chunk(&mut self) -> Result<bool, TraceError> {
+    /// Reads the next event-bearing chunk's header and payload, or the
+    /// footer (`None`).
+    fn next_chunk(&mut self) -> Result<Option<ChunkHeader>, TraceError> {
         let Some(head) = self.read_chunk_header()? else {
             return Err(TraceError::Truncated("missing footer"));
         };
         if head.events == 0 {
             self.read_footer(&head)?;
-            return Ok(false);
+            return Ok(None);
         }
         self.read_payload(&head)?;
-        if let Some(m) = &self.metrics {
-            m.incr(Counter::TraceChunksDecoded);
-            m.add(Counter::TraceBytesDecoded, head.payload_len);
+        Ok(Some(head))
+    }
+
+    /// Makes sure rows wait in `decoded[row..]`, decoding the next chunk
+    /// when they run out; a chunk's decode error waits until the rows
+    /// before it are used up. Returns `false` at the (well-formed) end.
+    fn fill(&mut self) -> Result<bool, TraceError> {
+        while self.row >= self.decoded.len() {
+            if let Some(err) = self.failed.take() {
+                return Err(err);
+            }
+            let Some(head) = (if self.finished {
+                None
+            } else {
+                self.next_chunk()?
+            }) else {
+                return Ok(false);
+            };
+            if let Some(m) = &self.metrics {
+                m.incr(Counter::TraceChunksDecoded);
+                m.add(Counter::TraceBytesDecoded, head.payload_len);
+            }
+            self.decoded.clear();
+            self.row = 0;
+            let (version, t_first, events) = (self.version, head.t_first, head.events);
+            self.failed =
+                format::decode_chunk(version, t_first, events, &self.chunk, &mut self.decoded)
+                    .err();
         }
-        self.pos = 0;
-        if self.version >= format::VERSION_V2 {
-            let n = head.events as usize;
-            format::decode_tid_column(&self.chunk, &mut self.pos, n, &mut self.chunk_tids)?;
-        }
-        self.tid_idx = 0;
-        self.remaining = head.events;
-        self.state = CodecState::new(head.t_first);
         Ok(true)
     }
 
@@ -372,27 +390,13 @@ impl<R: Read> TraceReader<R> {
     /// Any [`TraceError`] the stream produces; after an error the reader
     /// should be discarded.
     pub fn next_event(&mut self) -> Result<Option<Event>, TraceError> {
-        loop {
-            if self.remaining > 0 {
-                let mut ev = format::decode_event(&mut self.state, &self.chunk, &mut self.pos)?;
-                if self.version >= format::VERSION_V2 {
-                    ev = ev.with_tid(Tid(self.chunk_tids[self.tid_idx]));
-                    self.tid_idx += 1;
-                }
-                self.remaining -= 1;
-                if self.remaining == 0 && self.pos != self.chunk.len() {
-                    return Err(TraceError::Malformed("trailing bytes in chunk"));
-                }
-                self.events_read += 1;
-                return Ok(Some(ev));
-            }
-            if self.finished {
-                return Ok(None);
-            }
-            if !self.load_next_chunk()? {
-                return Ok(None);
-            }
+        if !self.fill()? {
+            return Ok(None);
         }
+        let ev = self.decoded.get(self.row);
+        self.row += 1;
+        self.events_read += 1;
+        Ok(Some(ev))
     }
 
     /// Replays every event into `sink`, in recorded order.
@@ -434,11 +438,17 @@ impl<R: Read> TraceReader<R> {
     pub fn read_batch(&mut self, batch: &mut EventBatch, max: usize) -> Result<bool, TraceError> {
         batch.clear();
         let max = max.max(1);
-        while batch.len() < max {
-            match self.next_event()? {
-                Some(ev) => batch.push_event(&ev),
-                None => break,
+        while batch.len() < max && self.fill()? {
+            let take = (max - batch.len()).min(self.decoded.len() - self.row);
+            if batch.is_empty() && take == self.decoded.len() {
+                // The whole chunk fits: hand its rows over without a copy
+                // (and keep the caller's empty batch for the next chunk).
+                std::mem::swap(batch, &mut self.decoded);
+            } else {
+                batch.extend_from_range(&self.decoded, self.row..self.row + take);
+                self.row += take;
             }
+            self.events_read += take as u64;
         }
         Ok(!batch.is_empty())
     }
@@ -449,7 +459,9 @@ impl<R: Read> TraceReader<R> {
     /// Delivers exactly the stream [`TraceReader::replay_into`] would —
     /// batch-unaware sinks observe identical per-event callbacks via the
     /// trait default — while batch-aware sinks pay one virtual call per
-    /// block. One `EventBatch` is reused for every block.
+    /// block. One `EventBatch` is reused for every block. With metrics
+    /// attached, reading the blocks is one `decode` span and the sink's
+    /// time one `profile` span.
     ///
     /// # Errors
     ///
@@ -461,9 +473,26 @@ impl<R: Read> TraceReader<R> {
     ) -> Result<ReplaySummary, TraceError> {
         let mut batch = EventBatch::with_capacity(batch_size.max(1));
         let mut events = 0;
+        // One clock read per switch between decoding and the sink.
+        let mut clock = self.metrics.as_ref().map(|_| Instant::now());
+        let mut lap = |spent: &mut u64| {
+            if let Some(since) = clock.as_mut() {
+                let now = Instant::now();
+                *spent += now.duration_since(*since).as_nanos() as u64;
+                *since = now;
+            }
+        };
+        let (mut decode_ns, mut sink_ns) = (0, 0);
         while self.read_batch(&mut batch, batch_size)? {
+            lap(&mut decode_ns);
             events += batch.len() as u64;
             sink.on_batch(&batch);
+            lap(&mut sink_ns);
+        }
+        lap(&mut decode_ns);
+        if let Some(m) = &self.metrics {
+            m.record_span(Stage::Decode, decode_ns);
+            m.record_span(Stage::Profile, sink_ns);
         }
         Ok(ReplaySummary {
             events,
@@ -487,40 +516,28 @@ impl<R: Read> TraceReader<R> {
         sink: &mut S,
     ) -> Result<u64, TraceError> {
         let mut delivered = 0;
-        loop {
-            let Some(head) = self.read_chunk_header()? else {
-                return Err(TraceError::Truncated("missing footer"));
-            };
-            if head.events == 0 {
-                self.read_footer(&head)?;
-                return Ok(delivered);
-            }
+        while let Some(head) = self.next_chunk()? {
             let t_last = head.t_first.saturating_add(head.t_span);
-            self.read_payload(&head)?;
             if t_last < t_lo || head.t_first > t_hi {
                 continue; // skip: payload consumed but never decoded
             }
-            self.pos = 0;
-            if self.version >= format::VERSION_V2 {
-                let n = head.events as usize;
-                format::decode_tid_column(&self.chunk, &mut self.pos, n, &mut self.chunk_tids)?;
-            }
-            self.state = CodecState::new(head.t_first);
-            for i in 0..head.events {
-                let mut ev = format::decode_event(&mut self.state, &self.chunk, &mut self.pos)?;
-                if self.version >= format::VERSION_V2 {
-                    ev = ev.with_tid(Tid(self.chunk_tids[i as usize]));
-                }
-                let t = ev.time();
-                if t_lo <= t && t <= t_hi {
+            let decoded = format::decode_chunk(
+                self.version,
+                head.t_first,
+                head.events,
+                &self.chunk,
+                &mut self.decoded,
+            );
+            for ev in self.decoded.iter() {
+                if t_lo <= ev.time() && ev.time() <= t_hi {
                     ev.dispatch(sink);
                     delivered += 1;
                 }
             }
-            if self.pos != self.chunk.len() {
-                return Err(TraceError::Malformed("trailing bytes in chunk"));
-            }
+            self.decoded.clear();
+            decoded?;
         }
+        Ok(delivered)
     }
 
     /// Reads the next event-bearing chunk *without decoding its payload*.
@@ -536,17 +553,13 @@ impl<R: Read> TraceReader<R> {
     /// Structural errors only; payload corruption surfaces later, when the
     /// chunk is decoded.
     pub fn next_raw_chunk(&mut self) -> Result<Option<RawChunk>, TraceError> {
-        if self.finished {
+        let Some(head) = (if self.finished {
+            None
+        } else {
+            self.next_chunk()?
+        }) else {
             return Ok(None);
-        }
-        let Some(head) = self.read_chunk_header()? else {
-            return Err(TraceError::Truncated("missing footer"));
         };
-        if head.events == 0 {
-            self.read_footer(&head)?;
-            return Ok(None);
-        }
-        self.read_payload(&head)?;
         Ok(Some(RawChunk {
             events: head.events,
             t_first: head.t_first,
@@ -582,15 +595,7 @@ impl<R: Read> TraceReader<R> {
     /// Structural errors only; payload corruption is invisible here.
     pub fn read_chunk_infos(&mut self) -> Result<Vec<ChunkInfo>, TraceError> {
         let mut infos = Vec::new();
-        loop {
-            let Some(head) = self.read_chunk_header()? else {
-                return Err(TraceError::Truncated("missing footer"));
-            };
-            if head.events == 0 {
-                self.read_footer(&head)?;
-                return Ok(infos);
-            }
-            self.read_payload(&head)?;
+        while let Some(head) = self.next_chunk()? {
             infos.push(ChunkInfo {
                 events: head.events,
                 t_first: head.t_first,
@@ -598,6 +603,7 @@ impl<R: Read> TraceReader<R> {
                 payload_bytes: head.payload_len,
             });
         }
+        Ok(infos)
     }
 
     /// Shared salvage walk: visits every intact event-bearing chunk,
@@ -730,7 +736,7 @@ mod tests {
     use super::*;
     use crate::writer::TraceWriter;
     use alchemist_lang::hir::FuncId;
-    use alchemist_vm::{Pc, RecordingSink};
+    use alchemist_vm::{Pc, RecordingSink, Tid};
 
     fn sample_trace(chunk_capacity: usize) -> (Vec<u8>, RecordingSink) {
         let mut live = RecordingSink::default();

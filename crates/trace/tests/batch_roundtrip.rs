@@ -1,22 +1,51 @@
 //! Property tests for batched trace round-trips: for arbitrary event
 //! sequences, encoding through `TraceWriter::on_batch` must produce the
 //! byte-identical `.alct` stream the per-event path produces, and decoding
-//! through the batched readers (`read_batch`, `decode_batches_par`) must
-//! reproduce the per-event round-trip exactly — including when batch and
-//! chunk boundaries disagree, so batches straddle chunk edges both ways.
+//! through the batched readers (`read_batch`, `decode_batches_par`,
+//! `replay_pipelined`) must reproduce the per-event round-trip exactly —
+//! including when batch and chunk boundaries disagree, so batches straddle
+//! chunk edges both ways.
 //!
 //! The v2 (threaded) format gets the same treatment with arbitrary tid
 //! streams: thread ids must survive every encode/decode path bit-exactly,
 //! across chunk boundaries, at any batch granularity.
+//!
+//! Addresses, pcs and frame pointers range over all of `u32`, and some
+//! timestamp deltas reach 2^40, so besides the one-byte varints the
+//! decoder reads inline, every read path also decodes five-byte field
+//! deltas, the multi-byte timestamp escape and values next to `u32::MAX`.
 
 use alchemist_lang::hir::FuncId;
-use alchemist_trace::{decode_batches_par, TraceReader, TraceWriter};
-use alchemist_vm::{BlockId, Event, EventBatch, Pc, Tid, TraceSink};
+use alchemist_trace::{
+    decode_batches_par, replay_pipelined, ReplayOptions, TraceReader, TraceWriter,
+};
+use alchemist_vm::{BlockId, Event, EventBatch, Pc, RecordingSink, Tid, TraceSink};
 use proptest::prelude::*;
 
 /// One raw generated row: (timestamp delta, kind selector, field a,
 /// field b, tid selector).
 type RawEvent = (u64, u8, u32, u32, u8);
+
+/// A field value: one near zero (one-byte deltas between neighbours),
+/// anywhere in `u32` (five-byte deltas) or next to `u32::MAX`, a third of
+/// the time each.
+fn field() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..64, any::<u32>(), (u32::MAX - 63)..=u32::MAX]
+}
+
+/// A timestamp delta: below 40 (mostly inline in the lead byte), and one
+/// time in eight up to 2^40 (the multi-byte escape).
+fn dt() -> impl Strategy<Value = u64> {
+    (0u64..40, 0u64..=(1 << 40), 0u8..8).prop_map(
+        |(small, big, pick)| {
+            if pick == 0 {
+                big
+            } else {
+                small
+            }
+        },
+    )
+}
 
 /// Materializes raw rows into a valid event stream (non-decreasing
 /// timestamps, every kind reachable) and its final step count. `tid_mod`
@@ -89,8 +118,8 @@ fn encode_per_event(events: &[Event], total_steps: u64, chunk_cap: usize, v2: bo
     w.finish(total_steps).unwrap().0
 }
 
-/// Shared body: batched encode must equal per-event bytes, and all three
-/// decode paths must reproduce the original events.
+/// Shared body: batched encode must equal per-event bytes, and every
+/// decode path must reproduce the original events.
 fn check_roundtrip(
     events: &[Event],
     total_steps: u64,
@@ -140,6 +169,17 @@ fn check_roundtrip(
     prop_assert_eq!(&flat, events);
     prop_assert_eq!(summary.events, events.len() as u64);
     prop_assert_eq!(summary.total_steps, total_steps);
+
+    // The replay pipeline: chunks decoded on two worker threads.
+    let mut sink = RecordingSink::default();
+    let options = ReplayOptions {
+        jobs: 3,
+        ..ReplayOptions::default()
+    };
+    let reader = TraceReader::new(per_event_bytes.as_slice()).unwrap();
+    let summary = replay_pipelined(reader, &mut sink, options).unwrap();
+    prop_assert_eq!(&sink.events, events);
+    prop_assert_eq!(summary.total_steps, total_steps);
 }
 
 proptest! {
@@ -149,7 +189,7 @@ proptest! {
     #[test]
     fn batched_roundtrip_equals_per_event_roundtrip(
         raw in proptest::collection::vec(
-            (0u64..40, 0u8..7, 0u32..100_000, 0u32..100_000, 0u8..1), 0..250),
+            (dt(), 0u8..7, field(), field(), 0u8..1), 0..250),
         chunk_cap in 1usize..33,
         write_batch in 1usize..50,
         read_batch in 1usize..50,
@@ -164,7 +204,7 @@ proptest! {
     #[test]
     fn v2_roundtrip_preserves_arbitrary_tid_streams(
         raw in proptest::collection::vec(
-            (0u64..40, 0u8..7, 0u32..100_000, 0u32..100_000, any::<u8>()), 0..250),
+            (dt(), 0u8..7, field(), field(), any::<u8>()), 0..250),
         tid_mod in 1u32..9,
         chunk_cap in 1usize..33,
         write_batch in 1usize..50,
@@ -180,7 +220,7 @@ proptest! {
     #[test]
     fn v2_of_single_threaded_stream_decodes_like_v1(
         raw in proptest::collection::vec(
-            (0u64..40, 0u8..7, 0u32..100_000, 0u32..100_000, 0u8..1), 0..120),
+            (dt(), 0u8..7, field(), field(), 0u8..1), 0..120),
         chunk_cap in 1usize..17,
     ) {
         let (events, total_steps) = build_events(&raw, 1);

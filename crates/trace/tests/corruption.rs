@@ -2,8 +2,11 @@
 //! must decode to typed [`TraceError`]s — never panic, never allocate
 //! unboundedly.
 
-use alchemist_trace::{decode_batches_par_recover, TraceError, TraceReader, TraceWriter};
-use alchemist_vm::{compile_source, ExecConfig, NullSink};
+use alchemist_trace::{
+    decode_batches_par, decode_batches_par_recover, replay_pipelined, ReplayOptions, TraceError,
+    TraceReader, TraceWriter,
+};
+use alchemist_vm::{compile_source, Event, EventBatch, ExecConfig, NullSink, RecordingSink};
 use proptest::prelude::*;
 
 /// A small but realistic trace: several chunks, all event kinds.
@@ -31,6 +34,26 @@ int main() { int i; for (i = 0; i < 12; i++) { if (i % 2 == 0) work(i); } return
         .expect("header")
         .with_chunk_capacity(64);
     let out = alchemist_vm::run(&module, &ExecConfig::default(), &mut w).expect("runs");
+    let (bytes, stats) = w.finish(out.steps).expect("finish");
+    assert!(stats.chunks >= 3, "test needs a multi-chunk trace");
+    bytes
+}
+
+/// A small threaded trace (v2): two workers rotated every few
+/// instructions, so thread-id runs break inside chunks.
+fn valid_trace_v2() -> Vec<u8> {
+    let src = "int g; int s[2];
+void work(int who) { int i; for (i = 0; i < 6; i++) { s[who] += i; g += who; } }
+int main() { spawn { work(0); } spawn { work(1); } join; return g; }";
+    let module = compile_source(src).expect("compiles");
+    let cfg = ExecConfig {
+        quantum: 5,
+        ..ExecConfig::default()
+    };
+    let mut w = TraceWriter::new_v2(Vec::new(), Some(src))
+        .expect("header")
+        .with_chunk_capacity(64);
+    let out = alchemist_vm::run(&module, &cfg, &mut w).expect("runs");
     let (bytes, stats) = w.finish(out.steps).expect("finish");
     assert!(stats.chunks >= 3, "test needs a multi-chunk trace");
     bytes
@@ -248,6 +271,166 @@ proptest! {
             prop_assert_eq!(delivered, summary.events);
             prop_assert_eq!(report.events_salvaged, summary.events);
             prop_assert!(report.is_clean() || cut < bytes.len());
+        }
+    }
+}
+
+/// What a read path made of a trace: the events it delivered, then the
+/// footer's step count or its error's text.
+type Delivered = (Vec<Event>, Result<u64, String>);
+
+fn open(bytes: &[u8]) -> Result<TraceReader<&[u8]>, Delivered> {
+    TraceReader::new(bytes).map_err(|e| (Vec::new(), Err(e.to_string())))
+}
+
+/// The reference: the reader's event iterator.
+fn iterate(bytes: &[u8]) -> Delivered {
+    let mut reader = match open(bytes) {
+        Ok(reader) => reader,
+        Err(failed) => return failed,
+    };
+    let mut events = Vec::new();
+    loop {
+        match reader.next_event() {
+            Ok(Some(ev)) => events.push(ev),
+            Ok(None) => return (events, Ok(reader.total_steps().expect("footer read"))),
+            Err(e) => return (events, Err(e.to_string())),
+        }
+    }
+}
+
+/// `read_batch` at `size`, the rows of every batch concatenated, those
+/// left in the batch by an error included.
+fn read_batches(bytes: &[u8], size: usize) -> Delivered {
+    let mut reader = match open(bytes) {
+        Ok(reader) => reader,
+        Err(failed) => return failed,
+    };
+    let (mut batch, mut events) = (EventBatch::new(), Vec::new());
+    loop {
+        let more = reader.read_batch(&mut batch, size);
+        events.extend(batch.iter());
+        match more {
+            Ok(true) => {}
+            Ok(false) => return (events, Ok(reader.total_steps().expect("footer read"))),
+            Err(e) => return (events, Err(e.to_string())),
+        }
+    }
+}
+
+/// `replay_pipelined` into a recording sink.
+fn pipelined(bytes: &[u8], jobs: usize, batch_size: usize) -> Delivered {
+    let reader = match open(bytes) {
+        Ok(reader) => reader,
+        Err(failed) => return failed,
+    };
+    let mut sink = RecordingSink::default();
+    let options = ReplayOptions {
+        jobs,
+        batch_size,
+        metrics: None,
+    };
+    let replayed = replay_pipelined(reader, &mut sink, options);
+    (
+        sink.events,
+        replayed.map(|s| s.total_steps).map_err(|e| e.to_string()),
+    )
+}
+
+/// `decode_batches_par`, its batches flattened.
+fn materialized(bytes: &[u8], jobs: usize) -> Delivered {
+    let reader = match open(bytes) {
+        Ok(reader) => reader,
+        Err(failed) => return failed,
+    };
+    match decode_batches_par(reader, jobs) {
+        Ok((batches, summary)) => (
+            batches.iter().flat_map(EventBatch::iter).collect(),
+            Ok(summary.total_steps),
+        ),
+        Err(e) => (Vec::new(), Err(e.to_string())),
+    }
+}
+
+/// Every read path reads `bytes` the way the event iterator does: the
+/// same events and step count, or the same error. The event-by-event
+/// paths (`read_batch`, one-event `replay_batched_into`) must also have
+/// delivered the same events before the error.
+fn check_read_paths_agree(bytes: &[u8], what: &str) {
+    let reference = iterate(bytes);
+    let verdict = |(events, result): Delivered| result.map(|steps| (events, steps));
+    let expect = verdict(reference.clone());
+    for size in [1, 7, 4096] {
+        let got = read_batches(bytes, size);
+        assert_eq!(got, reference, "{what}: read_batch at {size}");
+    }
+    let got = pipelined(bytes, 1, 1);
+    assert_eq!(got, reference, "{what}: replay_batched_into at 1");
+    for jobs in [1, 3] {
+        let got = pipelined(bytes, jobs, 4096);
+        assert_eq!(
+            verdict(got),
+            expect,
+            "{what}: replay_pipelined at {jobs} jobs"
+        );
+    }
+    for jobs in [1, 4] {
+        let got = materialized(bytes, jobs);
+        assert_eq!(
+            verdict(got),
+            expect,
+            "{what}: decode_batches_par at {jobs} jobs"
+        );
+    }
+}
+
+/// The byte ranges of the first two chunk headers.
+fn first_two_chunk_heads(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    struct Tell<'a>(&'a [u8], &'a std::cell::Cell<usize>);
+    impl std::io::Read for Tell<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.read(buf)?;
+            self.1.set(self.1.get() + n);
+            Ok(n)
+        }
+    }
+    let at = std::cell::Cell::new(0);
+    let mut reader = TraceReader::new(Tell(bytes, &at)).expect("header");
+    (0..2)
+        .map(|_| {
+            let start = at.get();
+            let chunk = reader.next_raw_chunk().expect("chunk").expect("two chunks");
+            start..at.get() - chunk.payload.len()
+        })
+        .collect()
+}
+
+#[test]
+fn every_read_path_fails_like_the_iterator_on_bit_flips() {
+    // Every bit of the first two chunk headers, and one bit of every other
+    // byte: all bits everywhere would take too long for a debug test run.
+    for (name, bytes) in [("v1", valid_trace()), ("v2", valid_trace_v2())] {
+        check_read_paths_agree(&bytes, name);
+        let heads = first_two_chunk_heads(&bytes);
+        assert!(heads.iter().all(|h| h.len() >= 4), "{name}: {heads:?}");
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                if bit != i % 8 && !heads.iter().any(|h| h.contains(&i)) {
+                    continue;
+                }
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                check_read_paths_agree(&flipped, &format!("{name}, byte {i} bit {bit}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn every_read_path_fails_like_the_iterator_on_every_truncation() {
+    for (name, bytes) in [("v1", valid_trace()), ("v2", valid_trace_v2())] {
+        for cut in 0..bytes.len() {
+            check_read_paths_agree(&bytes[..cut], &format!("{name}, cut at {cut}"));
         }
     }
 }

@@ -129,12 +129,52 @@ impl EventBatch {
 
     /// Removes all rows, keeping the columns' capacity for reuse.
     pub fn clear(&mut self) {
-        self.tags.clear();
-        self.times.clear();
-        self.addrs.clear();
-        self.pcs.clear();
-        self.auxs.clear();
-        self.tids.clear();
+        self.truncate(0);
+    }
+
+    /// Keeps the first `len` rows and drops the rest (no-op if `len >=
+    /// self.len()`), keeping the columns' capacity.
+    pub fn truncate(&mut self, len: usize) {
+        self.tags.truncate(len);
+        self.times.truncate(len);
+        self.addrs.truncate(len);
+        self.pcs.truncate(len);
+        self.auxs.truncate(len);
+        self.tids.truncate(len);
+    }
+
+    /// Appends `n` all-zero rows and returns them for overwriting in
+    /// place: each column grows once, and a row costs slice writes instead
+    /// of six `Vec::push`es. Drop rows left unwritten with
+    /// [`EventBatch::truncate`].
+    pub fn append_rows(&mut self, n: usize) -> RowsMut<'_> {
+        let len = self.len() + n;
+        self.tags.resize(len, EventTag::Enter);
+        self.times.resize(len, 0);
+        self.addrs.resize(len, 0);
+        self.pcs.resize(len, 0);
+        self.auxs.resize(len, 0);
+        self.tids.resize(len, 0);
+        let start = len - n;
+        RowsMut {
+            tags: &mut self.tags[start..],
+            times: &mut self.times[start..],
+            addrs: &mut self.addrs[start..],
+            pcs: &mut self.pcs[start..],
+            auxs: &mut self.auxs[start..],
+            tids: &mut self.tids[start..],
+        }
+    }
+
+    /// Appends rows `range` of `src`, one slice copy per column. Panics,
+    /// before appending anything, if `range` is out of bounds.
+    pub fn extend_from_range(&mut self, src: &EventBatch, range: std::ops::Range<usize>) {
+        self.tags.extend_from_slice(&src.tags[range.clone()]);
+        self.times.extend_from_slice(&src.times[range.clone()]);
+        self.addrs.extend_from_slice(&src.addrs[range.clone()]);
+        self.pcs.extend_from_slice(&src.pcs[range.clone()]);
+        self.auxs.extend_from_slice(&src.auxs[range.clone()]);
+        self.tids.extend_from_slice(&src.tids[range]);
     }
 
     #[inline]
@@ -375,6 +415,35 @@ impl EventBatch {
                 EventTag::Write => sink.on_write(t, self.addrs[i], Pc(self.pcs[i]), tid),
             }
         }
+    }
+}
+
+/// The rows [`EventBatch::append_rows`] appended, numbered from 0.
+#[derive(Debug)]
+pub struct RowsMut<'a> {
+    tags: &'a mut [EventTag],
+    times: &'a mut [Time],
+    addrs: &'a mut [u32],
+    pcs: &'a mut [u32],
+    auxs: &'a mut [u32],
+    tids: &'a mut [u32],
+}
+
+impl RowsMut<'_> {
+    /// Overwrites row `i` but its thread id; pass 0 for the columns `tag`
+    /// leaves unused (see [`EventTag`]). Panics if `i` is out of range.
+    #[inline]
+    pub fn set(&mut self, i: usize, tag: EventTag, t: Time, addr: u32, pc: u32, aux: u32) {
+        self.tags[i] = tag;
+        self.times[i] = t;
+        self.addrs[i] = addr;
+        self.pcs[i] = pc;
+        self.auxs[i] = aux;
+    }
+
+    /// The rows' thread-id column.
+    pub fn tids_mut(&mut self) -> &mut [u32] {
+        self.tids
     }
 }
 

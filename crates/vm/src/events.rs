@@ -287,20 +287,6 @@ impl Event {
         }
     }
 
-    /// The same event restamped onto `tid`. Trace readers use this to apply
-    /// a separately-stored thread-id column to a decoded event.
-    pub fn with_tid(mut self, new_tid: Tid) -> Event {
-        match &mut self {
-            Event::Enter { tid, .. }
-            | Event::Exit { tid, .. }
-            | Event::Block { tid, .. }
-            | Event::Predicate { tid, .. }
-            | Event::Read { tid, .. }
-            | Event::Write { tid, .. } => *tid = new_tid,
-        }
-        self
-    }
-
     /// Delivers the event to `sink` by calling the matching trait method.
     ///
     /// This is the replay primitive: any stream of [`Event`]s (a

@@ -49,7 +49,7 @@ pub mod module;
 pub mod op;
 
 pub use analysis::{BlockInfo, ModuleAnalysis, PredKind};
-pub use batch::{BatchingSink, EventBatch, EventTag, DEFAULT_BATCH_EVENTS};
+pub use batch::{BatchingSink, EventBatch, EventTag, RowsMut, DEFAULT_BATCH_EVENTS};
 pub use compiler::compile;
 pub use error::{Trap, TrapKind};
 pub use events::{CountingSink, Event, NullSink, RecordingSink, Tid, Time, TraceSink};

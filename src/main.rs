@@ -1803,13 +1803,11 @@ fn run_replay(
             }
         } else {
             // Streaming path: one batched pass, no event buffer; the
-            // MultiSink fans each batch out to every requested sink. With
-            // one job, decode and analysis interleave on this thread, so
-            // the pass runs under one span: `profile` when profiling,
-            // `decode` when only stats were asked for. With more, the
-            // pipeline records decode (workers) and profile (this thread,
-            // in the sinks) separately. The chunk, byte and event counters
-            // are the same either way.
+            // MultiSink fans each batch out to every requested sink. Every
+            // job count records `decode` (reading batches; on the workers
+            // with more than one job) and `profile` (this thread's time in
+            // the sinks) separately, with the same chunk, byte and event
+            // counters.
             let mut prof = if need_profile {
                 let md = module.as_ref().expect("profile requires a module");
                 Some(AlchemistProfiler::new(md, ProfileConfig::default()))
@@ -1826,20 +1824,13 @@ fn run_replay(
                     fan.push(d);
                 }
             }
-            summary = {
-                let pass_stage = if need_profile {
-                    Stage::Profile
-                } else {
-                    Stage::Decode
-                };
-                let _pass_span = span_opt(if jobs > 1 { None } else { m }, pass_stage);
-                let options = ReplayOptions {
-                    jobs,
-                    batch_size: batch_size.unwrap_or(DEFAULT_BATCH_EVENTS),
-                    metrics: Some(Arc::clone(&metrics)),
-                };
-                replay_pipelined(reader, &mut fan, options).map_err(|e| trace_read_err(path, &e))?
+            let options = ReplayOptions {
+                jobs,
+                batch_size: batch_size.unwrap_or(DEFAULT_BATCH_EVENTS),
+                metrics: Some(Arc::clone(&metrics)),
             };
+            summary = replay_pipelined(reader, &mut fan, options)
+                .map_err(|e| trace_read_err(path, &e))?;
             drop(fan);
             if let Some(p) = prof {
                 let p = p.into_profile(summary.total_steps);

@@ -378,6 +378,53 @@ fn cli_truncated_trace_replays_under_recover_and_exits_corrupt_without() {
 }
 
 #[test]
+fn cli_whole_trace_decode_reports_the_streaming_replays_error() {
+    // A first-chunk `payload_len` one off: the streaming replay fails
+    // inside that chunk's payload, while the chunk scan of the whole-trace
+    // decode `advise` needs runs into a misaligned header further on.
+    // Both must report the error the streaming replay meets first.
+    let src = temp("len-src", "mc");
+    std::fs::write(&src, SRC).expect("write source");
+    let trace = temp("len-trace", "alct");
+    let out = bin()
+        .args(["record", "--chunk-events", "64", "-o"])
+        .arg(&trace)
+        .arg(&src)
+        .output()
+        .expect("spawns");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut bytes = std::fs::read(&trace).expect("read trace");
+    let mut pos = 4 + 2 + 2; // magic, version, flags
+    if bytes[6] & 1 != 0 {
+        pos += varint::read_u64(&bytes, &mut pos).expect("src_len") as usize;
+    }
+    bytes[pos] ^= 1;
+    std::fs::write(&trace, &bytes).expect("write trace");
+
+    let stderr_of = |analysis: &str| {
+        let out = bin()
+            .args(["replay", "--analysis", analysis])
+            .arg(&trace)
+            .output()
+            .expect("spawns");
+        assert_eq!(
+            out.status.code(),
+            Some(4),
+            "{analysis}: corrupt trace exits 4"
+        );
+        String::from_utf8(out.stderr).expect("utf-8 stderr")
+    };
+    assert_eq!(stderr_of("profile,advise"), stderr_of("profile"));
+
+    let _ = std::fs::remove_file(src);
+    let _ = std::fs::remove_file(trace);
+}
+
+#[test]
 fn cli_missing_trace_exits_with_io_code_and_names_the_path() {
     let out = bin()
         .args(["replay", "/no/such/alchemist-trace.alct"])

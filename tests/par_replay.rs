@@ -14,10 +14,9 @@ use alchemist_core::{
 };
 use alchemist_parsim::{extract_tasks, extract_tasks_from_events_par, ExtractConfig};
 use alchemist_trace::{
-    decode_batches_par, decode_events_par, replay_pipelined, MultiSink, ReplayOptions, TraceReader,
-    TraceWriter,
+    decode_batches_par, replay_pipelined, MultiSink, ReplayOptions, TraceReader, TraceWriter,
 };
-use alchemist_vm::{Event, Module, RecordingSink};
+use alchemist_vm::{Event, EventBatch, Module, RecordingSink};
 use alchemist_workloads::Scale;
 
 /// Records one workload run at `scale` into an in-memory trace.
@@ -40,6 +39,15 @@ fn record_at(w: &alchemist_workloads::Workload, scale: Scale) -> (Module, Vec<u8
 /// Records one workload run into an in-memory trace.
 fn record(w: &alchemist_workloads::Workload) -> (Module, Vec<u8>, u64) {
     record_at(w, Scale::Tiny)
+}
+
+/// Decodes `bytes` chunk-parallel on 4 threads, flattened to events, with
+/// the footer's step count.
+fn decode_par(bytes: &[u8]) -> (Vec<Event>, u64) {
+    let reader = TraceReader::new(bytes).expect("header");
+    let (batches, summary) = decode_batches_par(reader, 4).expect("parallel decode");
+    let events = batches.iter().flat_map(EventBatch::iter).collect();
+    (events, summary.total_steps)
 }
 
 #[test]
@@ -107,11 +115,9 @@ fn parallel_replay_profile_equals_sequential_and_live_for_every_workload() {
             w.name
         );
         let seq_events: Vec<Event> = reader.map(|e| e.expect("decode")).collect();
-        let (events, summary) =
-            decode_events_par(TraceReader::new(bytes.as_slice()).expect("header"), 4)
-                .expect("parallel decode");
+        let (events, total_steps) = decode_par(&bytes);
         assert_eq!(events, seq_events, "{}: parallel decode diverges", w.name);
-        assert_eq!(summary.total_steps, steps, "{}", w.name);
+        assert_eq!(total_steps, steps, "{}", w.name);
         // Sequential replay equals live.
         let (seq, ..) = profile_events(
             &module,
@@ -269,18 +275,11 @@ fn parallel_task_extraction_equals_live_for_parallel_workloads() {
         }
         let live = extract_tasks(&module, &w.exec_config(Scale::Tiny), cfg.clone())
             .unwrap_or_else(|e| panic!("{} trapped: {e}", w.name));
-        let (events, summary) =
-            decode_events_par(TraceReader::new(bytes.as_slice()).expect("header"), 4)
-                .expect("parallel decode");
+        let (events, total_steps) = decode_par(&bytes);
         for jobs in [2usize, 4] {
-            let par = extract_tasks_from_events_par(
-                &module,
-                cfg.clone(),
-                &events,
-                summary.total_steps,
-                jobs,
-            )
-            .expect("no shard panic");
+            let par =
+                extract_tasks_from_events_par(&module, cfg.clone(), &events, total_steps, jobs)
+                    .expect("no shard panic");
             assert_eq!(
                 par, live,
                 "{}: sharded extraction (jobs={jobs}) diverges",
